@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
-from .linalg import SingularMatrixError, spd_inverse
-from .montecarlo import ConvergenceError
+from .linalg import spd_inverse
+from .montecarlo import ESTIMATOR_ORDER, ConvergenceError, _replicate
 from .shrinkage import LinearRestriction, compute_all
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "write_bre_csv",
 ]
 
-_MAX_ATTEMPTS_PER_REP = 20
 _MAX_FAILURE_RATE = 0.10
 
 
@@ -159,6 +158,28 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     return data, summary
 
 
+@dataclass(frozen=True)
+class _ResampleDraw:
+    """Draws the resampled rows of one (replication, attempt) of a bootstrap."""
+
+    X: np.ndarray
+    y: np.ndarray
+    seed: int
+    n_obs: int
+    with_replacement: bool
+
+    where = " of the bootstrap"
+
+    def __call__(self, rep: int, attempt: int) -> Dataset:
+        seq = np.random.SeedSequence(self.seed, spawn_key=(rep, attempt))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        if self.with_replacement:
+            idx = rng.choice(self.y.size, size=self.n_obs, replace=True)
+        else:
+            idx = np.arange(self.y.size)
+        return Dataset(self.X[idx], self.y[idx])
+
+
 def _estimator_names(r: int) -> tuple[str, ...]:
     if r >= 3:
         return ("UN", "RE", "JSE", "PJSE", "PTE")
@@ -185,48 +206,26 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     truth = cfg.pseudo_truth if cfg.pseudo_truth is not None else full.beta
     if truth.shape != (data.n_params,):
         raise ValueError(f"pseudo_truth must have shape ({data.n_params},), got {truth.shape}")
-    r = cfg.restriction.n_restrictions
-    names = _estimator_names(r)
-    draws = {name: np.empty((cfg.replications, data.n_params)) for name in names}
-    retries = 0
+    names = _estimator_names(cfg.restriction.n_restrictions)
+    draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size, cfg.with_replacement)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
-    for rep in range(cfg.replications):
-        for attempt in range(_MAX_ATTEMPTS_PER_REP):
-            seq = np.random.SeedSequence(cfg.seed, spawn_key=(rep, attempt))
-            rng = np.random.Generator(np.random.PCG64(seq))
-            idx = (
-                rng.choice(data.n_obs, size=cfg.resample_size, replace=True)
-                if cfg.with_replacement
-                else np.arange(data.n_obs)
-            )
-            sub = Dataset(data.X[idx], data.y[idx])
-            try:
-                model = fit(sub)
-                if not model.converged:
-                    retries += 1
-                    continue
-                est_set = compute_all(model, cfg.restriction, cfg.alpha)
-            except (SingularMatrixError, np.linalg.LinAlgError):
-                retries += 1
-                continue
-            gap = cfg.restriction.H @ est_set.re - cfg.restriction.h
-            if np.max(np.abs(gap)) > 1e-8 * max(1.0, float(np.max(np.abs(cfg.restriction.h)))):
-                raise RuntimeError(
-                    f"replication {rep}: restricted refit violates the restriction "
-                    f"(max gap {np.max(np.abs(gap)):.3e})"
-                )
-            for name in names:
-                draws[name][rep] = getattr(est_set, name.lower())
-            break
-        else:
-            raise ConvergenceError(
-                f"bootstrap replication {rep} failed {_MAX_ATTEMPTS_PER_REP} attempts"
-            )
-        if retries > budget:
-            raise ConvergenceError(
-                f"{retries} failed bootstrap refits exceed the {_MAX_FAILURE_RATE:.0%} "
-                f"budget over {cfg.replications} replications"
-            )
+    _, est, retries = _replicate(
+        (draw, list(range(cfg.replications)), cfg.restriction, cfg.alpha, budget)
+    )
+    if retries > budget:
+        raise ConvergenceError(
+            f"{retries} failed bootstrap refits exceed the {_MAX_FAILURE_RATE:.0%} "
+            f"budget over {cfg.replications} replications"
+        )
+    H, h = cfg.restriction.H, cfg.restriction.h
+    gap = np.max(np.abs(est[:, ESTIMATOR_ORDER.index("RE")] @ H.T - h), axis=1)
+    bad = np.flatnonzero(gap > 1e-8 * max(1.0, float(np.max(np.abs(h)))))
+    if bad.size:
+        raise RuntimeError(
+            f"replication {bad[0]}: restricted refit violates the restriction "
+            f"(max gap {gap[bad[0]]:.3e})"
+        )
+    draws = {name: est[:, ESTIMATOR_ORDER.index(name)] for name in names}
     smse = {
         name: float(np.mean(np.sum((draws[name] - truth) ** 2, axis=1))) for name in names
     }

@@ -1,17 +1,26 @@
 """Thin SPD solve helpers shared by the fitting and shrinkage code.
 
-All solves go through a Cholesky factorization.  A failed factorization
-gets one retry with a jitter of 1e-10 * trace/dim added to the diagonal;
-a second failure raises SingularMatrixError carrying the indefinite
-leading minor reported by the factorization.
+All solves go through a Cholesky factorization (LAPACK dposv).  A failed
+factorization gets one retry with a jitter of 1e-10 * trace/dim added to
+the diagonal; a matrix that fails both, or that is non-finite or not
+symmetric, is not positive definite.  `spd_solve` and `spd_inverse` raise
+SingularMatrixError for it; `spd_solve_stack`, which solves a stack of
+small systems one member at a time, flags the member instead, so one
+singular member cannot fail the others.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
-__all__ = ["SingularMatrixError", "quad_form", "spd_inverse", "spd_solve"]
+__all__ = [
+    "SingularMatrixError",
+    "quad_form",
+    "spd_inverse",
+    "spd_solve",
+    "spd_solve_stack",
+]
 
 _JITTER_SCALE = 1e-10
 _SYM_RTOL = 1e-8
@@ -21,34 +30,48 @@ class SingularMatrixError(ValueError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-def _factor(a: np.ndarray):
+def _symmetric_finite(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack (..., k, k): finite and symmetric up to _SYM_RTOL."""
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    a = np.where(finite[..., None, None], a, 0.0)
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    asym = np.max(np.abs(a - np.swapaxes(a, -2, -1)), axis=(-2, -1), initial=0.0)
+    return finite & (asym <= _SYM_RTOL * np.maximum(1.0, scale))
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with a x = b from the lower Cholesky factor of a, retried once with
+    diagonal jitter; None when both factorizations fail."""
+    _, x, info = dposv(a, b, lower=1)
+    if info != 0:
+        jitter = _JITTER_SCALE * np.trace(a) / a.shape[0]
+        _, x, info = dposv(a + jitter * np.eye(a.shape[0]), b, lower=1)
+    return x if info == 0 else None
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise SingularMatrixError("matrix contains non-finite entries")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if np.max(np.abs(a - a.T)) > _SYM_RTOL * max(1.0, scale):
+    if not _symmetric_finite(a):
         raise SingularMatrixError("matrix is not symmetric")
-    try:
-        return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as first:
-        jitter = _JITTER_SCALE * np.trace(a) / a.shape[0]
-        try:
-            return cho_factor(a + jitter * np.eye(a.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(f"not positive definite: {first}") from first
+    x = _cholesky_solve(a, np.asarray(b, dtype=float))
+    if x is None:
+        raise SingularMatrixError("matrix is not positive definite")
+    return x
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for symmetric positive definite a."""
-    return cho_solve(_factor(a), np.asarray(b, dtype=float))
+    return _solve(a, b)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Explicit inverse of an SPD matrix, symmetrized against roundoff."""
     a = np.asarray(a, dtype=float)
-    inv = cho_solve(_factor(a), np.eye(a.shape[0]))
+    inv = _solve(a, np.eye(a.shape[0]))
     return (inv + inv.T) / 2.0
 
 
@@ -56,3 +79,22 @@ def quad_form(v: np.ndarray, a: np.ndarray) -> float:
     """v' a**-1 v for SPD a; nonnegative up to roundoff."""
     v = np.asarray(v, dtype=float)
     return float(v @ spd_solve(a, v))
+
+
+def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a[i] x[i] = b[i] for a stack of matrices (m, k, k) and
+    right-hand sides (m, k) under the rules of `spd_solve`.
+
+    Returns (x, ok): ok[i] is False where `spd_solve` would raise for
+    member i, and x[i] is then meaningless.  Members never affect each
+    other, neither in their bits nor in their failure.
+    """
+    x = np.empty_like(b)
+    ok = _symmetric_finite(a) & np.all(np.isfinite(b), axis=-1)
+    for i in np.flatnonzero(ok):
+        xi = _cholesky_solve(a[i], b[i])
+        if xi is None:
+            ok[i] = False
+        else:
+            x[i] = xi
+    return x, ok

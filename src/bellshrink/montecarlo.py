@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell_dist import sample_counts
-from .bell_glm import Dataset, fit
+# fit is no longer called here but stays bound: bench/tracer.py wraps the
+# binding of fit in each module that holds one, this one included.
+from .bell_glm import Dataset, fit, fit_many  # noqa: F401
 from .linalg import SingularMatrixError
 from .shrinkage import LinearRestriction, compute_all
 from .special_fn import lambert_w0
@@ -52,6 +54,9 @@ _RATIO_ESTIMATORS = ("RE", "JSE", "PJSE", "PTE")
 _MAX_ATTEMPTS_PER_REP = 20
 _MAX_FAILURE_RATE = 0.05
 _DESIGN_STREAM = 0x5EED_DE51  # substream reserved for a shared fixed design
+# Cap on the entries of X (members * n * k) fitted as one stack; bounds the
+# engine's working memory at a few arrays of this size.
+_STACK_ELEMENTS = 1 << 18
 
 
 class ConvergenceError(RuntimeError):
@@ -146,43 +151,75 @@ def _substream(seed: int, n: int, p: int, tau: float, rep: int, attempt: int):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _squared_errors(est_set, true_beta: np.ndarray) -> np.ndarray:
-    out = np.empty(len(ESTIMATOR_ORDER))
-    for i, name in enumerate(ESTIMATOR_ORDER):
-        vec = getattr(est_set, name.lower())
-        diff = vec - true_beta
-        out[i] = float(diff @ diff)
-    return out
+@dataclass(frozen=True)
+class _SimDraw:
+    """Draws the dataset of one (replication, attempt) of a grid point."""
+
+    seed: int
+    n_obs: int
+    p: int
+    tau: float
+    true_beta: np.ndarray
+    fixed_X: np.ndarray | None
+
+    @property
+    def where(self) -> str:
+        return f" at (n={self.n_obs}, p={self.p}, tau={self.tau})"
+
+    def __call__(self, rep: int, attempt: int) -> Dataset:
+        rng = _substream(self.seed, self.n_obs, self.p, self.tau, rep, attempt)
+        if self.fixed_X is None:
+            return generate_dataset(self.n_obs, self.p, self.true_beta, rng)
+        return _dataset_for_design(self.fixed_X, self.true_beta, rng)
 
 
-def _run_rep_block(args) -> tuple[list[int], np.ndarray, int]:
-    (seed, n, p, tau, true_beta, rest, alpha, fixed_X, reps) = args
-    errs = np.empty((len(reps), len(ESTIMATOR_ORDER)))
+def _replicate(job) -> tuple[list[int], np.ndarray, int]:
+    """Fit every replication in reps and compute its estimators.
+
+    job = (draw, reps, rest, alpha, budget).  draw(rep, attempt) gives the
+    dataset of that attempt.  Each attempt round draws every pending
+    replication, fits them in stacks of at most _STACK_ELEMENTS entries of
+    X, and leaves the failed ones (no convergence, singular fit or singular
+    projection) pending for attempt + 1.  The round stops early once the
+    failures exceed budget; the caller reports that.
+
+    Returns (reps, estimates, retries): estimates has shape
+    (len(reps), 5, k) in ESTIMATOR_ORDER, NaN where r < 3 rules out the
+    Stein estimators or a replication was left pending.
+    """
+    draw, reps, rest, alpha, budget = job
+    k = rest.H.shape[1]
+    est = np.full((len(reps), len(ESTIMATOR_ORDER), k), np.nan)
+    cap = max(1, _STACK_ELEMENTS // (draw.n_obs * k))
+    pending = list(range(len(reps)))
     retries = 0
-    for row, rep in enumerate(reps):
-        for attempt in range(_MAX_ATTEMPTS_PER_REP):
-            rng = _substream(seed, n, p, tau, rep, attempt)
-            try:
-                if fixed_X is None:
-                    data = generate_dataset(n, p, true_beta, rng)
-                else:
-                    data = _dataset_for_design(fixed_X, true_beta, rng)
-                model = fit(data)
-                if not model.converged:
-                    retries += 1
+    for attempt in range(_MAX_ATTEMPTS_PER_REP):
+        failed = []
+        for start in range(0, len(pending), cap):
+            rows = pending[start : start + cap]
+            stack = [draw(reps[row], attempt) for row in rows]
+            models = fit_many(np.stack([d.X for d in stack]), np.stack([d.y for d in stack]))
+            for row, model in zip(rows, models):
+                if model is None or not model.converged:
+                    failed.append(row)
                     continue
-                est_set = compute_all(model, rest, alpha)
-            except (SingularMatrixError, np.linalg.LinAlgError):
-                retries += 1
-                continue
-            errs[row] = _squared_errors(est_set, true_beta)
-            break
-        else:
-            raise ConvergenceError(
-                f"replication {rep} at (n={n}, p={p}, tau={tau}) failed "
-                f"{_MAX_ATTEMPTS_PER_REP} consecutive attempts"
-            )
-    return list(reps), errs, retries
+                try:
+                    est_set = compute_all(model, rest, alpha)
+                except (SingularMatrixError, np.linalg.LinAlgError):
+                    failed.append(row)
+                    continue
+                for i, name in enumerate(ESTIMATOR_ORDER):
+                    vec = getattr(est_set, name.lower())
+                    if vec is not None:
+                        est[row, i] = vec
+        retries += len(failed)
+        pending = failed
+        if not pending or retries > budget:
+            return list(reps), est, retries
+    raise ConvergenceError(
+        f"replication {reps[pending[0]]}{draw.where} failed "
+        f"{_MAX_ATTEMPTS_PER_REP} consecutive attempts"
+    )
 
 
 def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
@@ -209,25 +246,29 @@ def _grid_point(cfg: SimConfig, tau: float, threads: int) -> GridPointResult:
         fixed_X = np.empty((cfg.n, cfg.p + 1))
         fixed_X[:, 0] = 1.0
         fixed_X[:, 1:] = rng.standard_normal((cfg.n, cfg.p))
+    draw = _SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta, fixed_X)
+    budget = _MAX_FAILURE_RATE * cfg.replications
     reps = list(range(cfg.replications))
-    common = (cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta, rest, cfg.alpha, fixed_X)
-    errs = np.empty((cfg.replications, len(ESTIMATOR_ORDER)))
-    total_retries = 0
     if threads <= 1 or cfg.replications < 2 * threads:
-        blocks = [_run_rep_block(common + (reps,))]
+        blocks = [_replicate((draw, reps, rest, cfg.alpha, budget))]
     else:
         chunks = [list(c) for c in np.array_split(reps, 4 * threads) if len(c)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(_run_rep_block, [common + (c,) for c in chunks]))
-    for rep_ids, block_errs, retries in blocks:
-        errs[rep_ids] = block_errs
+            jobs = [(draw, c, rest, cfg.alpha, budget) for c in chunks]
+            blocks = list(pool.map(_replicate, jobs))
+    est = np.empty((cfg.replications, len(ESTIMATOR_ORDER), cfg.p + 1))
+    total_retries = 0
+    for rep_ids, block_est, retries in blocks:
+        est[rep_ids] = block_est
         total_retries += retries
-    if total_retries > _MAX_FAILURE_RATE * cfg.replications:
+    if total_retries > budget:
         raise ConvergenceError(
             f"grid point (n={cfg.n}, p={cfg.p}, tau={tau}): {total_retries} failed fits "
             f"over {cfg.replications} replications exceeds the "
             f"{_MAX_FAILURE_RATE:.0%} budget"
         )
+    diff = est - cfg.true_beta
+    errs = np.sum(diff * diff, axis=-1)
     smse = {name: float(errs[:, i].mean()) for i, name in enumerate(ESTIMATOR_ORDER)}
     sre = {"UN": 1.0}
     sre_se = {"UN": 0.0}

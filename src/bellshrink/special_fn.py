@@ -15,13 +15,14 @@ mixture representation
 
     X ~ chi2(dof + 2 J),  J ~ Poisson(noncentrality / 2),
 
-summing mixture terms outward from the modal Poisson index until the
-remaining tail mass drops below 1e-12.  Each central-component integral
-reduces to a regularized incomplete gamma function.
+summing the mixture terms over one window around the modal Poisson index
+that holds all but 1e-12 of the Poisson mass.  Each central-component
+integral reduces to a regularized incomplete gamma function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -49,7 +50,10 @@ def lambert_w0(x):
     Halley's iteration on f(w) = w e**w - x, seeded with log1p(x) for
     x <= e and log(x) - log(log(x)) beyond, converges to full double
     precision in a handful of steps; the residual |w e**w - x| stays
-    below 1e-12 * max(1, x).
+    below 1e-12 * max(1, x).  Each entry stops updating once its own
+    step is at most 1e-14, so an entry's value does not depend on the
+    other entries of the array: lambert_w0(x)[i] == lambert_w0(x[i])
+    bit for bit.
 
     Parameters
     ----------
@@ -66,14 +70,16 @@ def lambert_w0(x):
         raise ValueError("lambert_w0 requires finite input >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(z <= math.e, np.log1p(z), np.log(z) - np.log(np.log(np.maximum(z, math.e))))
+    active = np.ones(z.shape, dtype=bool)
     for _ in range(_HALLEY_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
         dw = f / denom
-        w = w - dw
-        if np.all(np.abs(dw) <= _HALLEY_TOL):
+        w = np.where(active, w - dw, w)
+        active &= np.abs(dw) > _HALLEY_TOL
+        if not active.any():
             break
     if scalar:
         return float(w)
@@ -165,37 +171,35 @@ class NoncentralChiSq:
         object.__setattr__(self, "noncentrality", float(self.noncentrality))
 
 
+@functools.lru_cache(maxsize=256)
 def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson(lam) pmf terms covering all but < 1e-12 of the mass.
+    """Poisson(lam) pmf terms over a window holding all but < 1e-12 of the mass.
 
-    Starts at the modal index and expands outward so the dominant terms
-    come first and the truncation error is bounded by the stopping rule.
+    The window is [lam - t, lam + t] around the mode, with t from the
+    Bernstein tail bound P(|J - lam| >= t) <= 2 exp(-t**2 / (2 (lam + t/3))).
+    Terms are built from the mode outward as running products of the
+    ratios w(j+1)/w(j) = lam/(j+1), then normalised to sum to one, so no
+    large exponent cancels and the cost is one vectorised pass.  Results
+    are cached per lam and shared by the cdf and both inverse moments.
     """
     if lam <= 0.0:
-        return np.array([0]), np.array([1.0])
-
-    def w(j: int) -> float:
-        return math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1))
-
+        return _frozen(np.array([0])), _frozen(np.array([1.0]))
+    c = -math.log(_POISSON_TAIL / 2.0)
+    t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * lam)
     j0 = int(lam)
-    js = [j0]
-    ws = [w(j0)]
-    total = ws[0]
-    lo = hi = j0
-    while total < 1.0 - _POISSON_TAIL:
-        hi += 1
-        js.append(hi)
-        ws.append(w(hi))
-        total += ws[-1]
-        if lo > 0:
-            lo -= 1
-            js.append(lo)
-            ws.append(w(lo))
-            total += ws[-1]
-        if hi - j0 > 10_000_000:
-            raise RuntimeError("Poisson mixture failed to accumulate mass")
-    order = np.argsort(js)
-    return np.asarray(js)[order], np.asarray(ws)[order]
+    lo = max(0, int(math.floor(lam - t)))
+    hi = int(math.ceil(lam + t))
+    up = np.cumsum(np.log(lam / np.arange(j0 + 1, hi + 1, dtype=float)))
+    down = np.cumsum(np.log(np.arange(j0, lo, -1, dtype=float) / lam))
+    log_w = np.concatenate([down[::-1], [0.0], up])
+    ws = np.exp(log_w)
+    ws /= ws.sum()
+    return _frozen(np.arange(lo, hi + 1)), _frozen(ws)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def noncentral_chisq_cdf(x: float, dist: NoncentralChiSq) -> float:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import bellshrink.montecarlo as mc
 from bellshrink.application import (
     BootstrapConfig,
     DataFormatError,
@@ -142,6 +143,27 @@ def test_bootstrap_bre_bit_reproducible():
         assert ra.bre == rb.bre
         np.testing.assert_array_equal(ra.se, rb.se)
     assert a.n_retry == b.n_retry
+
+
+def test_bootstrap_csv_independent_of_stack_size(monkeypatch, tmp_path):
+    # Resampling 15 of 150 low-count rows makes some refits fail, so
+    # redrawn replications are stacked differently under each cap.
+    data = synthetic_restricted_data(150, np.array([-0.5, 0.0, 0.4, 0.0, 0.3]), 5)
+    cfg = BootstrapConfig(
+        restriction=selection_restriction(5, [1, 3]),
+        resample_size=15,
+        replications=100,
+        seed=4,
+    )
+    blobs = set()
+    for cap in (1, 7, cfg.replications):
+        monkeypatch.setattr(mc, "_STACK_ELEMENTS", cap * cfg.resample_size * 5)
+        report = bootstrap_bre(data, cfg)
+        path = tmp_path / f"bre{cap}.csv"
+        write_bre_csv(report, path)
+        blobs.add(path.read_bytes())
+    assert report.n_retry > 0
+    assert len(blobs) == 1
 
 
 def test_bootstrap_degenerate_full_resample_without_replacement():

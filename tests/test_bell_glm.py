@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellshrink.bell_dist import BellParam, log_pmf
 from bellshrink.bell_glm import (
@@ -11,10 +13,12 @@ from bellshrink.bell_glm import (
     aic,
     fisher_information,
     fit,
+    fit_many,
     loglik,
     score,
 )
-from bellshrink.linalg import SingularMatrixError
+from bellshrink.linalg import SingularMatrixError, spd_solve
+from bellshrink.montecarlo import generate_dataset
 from conftest import build_design, simulate_dataset
 
 SEED = 90210
@@ -96,8 +100,6 @@ def test_null_model_recovery():
 
 
 def test_consistency_on_unit_coefficients():
-    from bellshrink.montecarlo import generate_dataset
-
     rng = np.random.default_rng(SEED + 7)
     beta = np.array([0.0, 1.0, 1.0, 1.0])
     data = generate_dataset(5000, 3, beta, rng)
@@ -195,3 +197,119 @@ def test_aic_noise_covariate_delta():
     # the noise covariate cannot help by more than its parameter penalty often;
     # at minimum the likelihood cannot decrease when a column is added
     assert wide.loglik >= narrow.loglik - 1e-9
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(15, 200),
+    p=st.integers(0, 5),
+    scale=st.floats(0.1, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_converged_fit_has_negligible_newton_decrement(seed, n, p, scale):
+    # Convergence is decided on the full Newton step (max |step| < 1e-8), so
+    # the decrement S' F^-1 S left at the returned point is of the order of
+    # that step squared; 1e-12 leaves a wide margin above roundoff while
+    # catching fits that stop on a halved step short of the optimum.
+    beta = np.random.default_rng(seed).normal(0.0, 1.0, p + 1)
+    data = simulate_dataset(n, beta, seed, scale=scale)
+    model = fit(data)
+    if model.converged:
+        s = score(model.beta, data)
+        assert float(s @ spd_solve(fisher_information(model.beta, data), s)) <= 1e-12
+
+
+def test_heavy_tailed_fits_stop_at_the_optimum():
+    # At p = 12 with unit slopes the Bell weights span several decades;
+    # deciding convergence on a halved step used to stop such fits with a
+    # decrement of several 1e-12.
+    rng = np.random.default_rng(SEED + 18)
+    beta = np.concatenate([[0.0], np.ones(12)])
+    datasets = [generate_dataset(200, 12, beta, rng) for _ in range(30)]
+    models = fit_many(np.stack([d.X for d in datasets]), np.stack([d.y for d in datasets]))
+    for model, data in zip(models, datasets):
+        assert model.converged
+        s = score(model.beta, data)
+        assert float(s @ spd_solve(fisher_information(model.beta, data), s)) <= 1e-12
+
+
+def test_all_zero_response_is_not_reported_as_converged():
+    # No finite MLE exists: the intercept runs off to -inf into the clamp.
+    X = build_design(50, 2, np.random.default_rng(SEED + 16))
+    model = fit(Dataset(X=X, y=np.zeros(50, dtype=int)))
+    assert not model.converged
+    assert model.n_clamped > 0
+
+
+def _assert_same_fit(a: FittedModel, b: FittedModel) -> None:
+    np.testing.assert_array_equal(a.beta, b.beta)
+    np.testing.assert_array_equal(a.fisher_info, b.fisher_info)
+    assert (a.loglik, a.converged, a.n_iter, a.n_clamped) == (
+        b.loglik, b.converged, b.n_iter, b.n_clamped
+    )
+
+
+def test_stack_members_match_their_own_fits_bitwise():
+    # Heavy-tailed designs (p = 6 at unit slopes) give members that need
+    # different numbers of iterations and step halvings.
+    rng = np.random.default_rng(SEED + 17)
+    beta = np.concatenate([[0.0], np.ones(6)])
+    datasets = [generate_dataset(100, 6, beta, rng) for _ in range(12)]
+    X = np.stack([d.X for d in datasets])
+    y = np.stack([d.y for d in datasets])
+    X[5, :, 4] = X[5, :, 2]  # one rank-deficient member
+    models = fit_many(X, y)
+    assert models[5] is None
+    assert len({m.n_iter for m in models if m is not None}) > 1
+    for i, model in enumerate(models):
+        if i != 5:
+            _assert_same_fit(model, fit(Dataset(X=X[i], y=y[i])))
+    order = [11, 0, 7, 3]
+    for model, i in zip(fit_many(X[order], y[order]), order):
+        _assert_same_fit(model, models[i])
+    with pytest.raises(SingularMatrixError):
+        fit(Dataset(X=X[5], y=y[5]))
+
+
+def test_fit_many_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        fit_many(np.ones((2, 10, 3)), np.zeros((2, 9), dtype=int))
+
+
+@pytest.mark.parametrize("defect", ["negative", "fractional", "non_finite", "no_intercept"])
+def test_fit_many_applies_the_dataset_checks(defect):
+    rng = np.random.default_rng(SEED + 19)
+    X = np.stack([build_design(30, 2, rng) for _ in range(3)])
+    y = rng.poisson(1.0, (3, 30)).astype(float)
+    if defect == "negative":
+        y[1, 4] = -1.0
+    elif defect == "fractional":
+        y[2, 0] = 1.5
+    elif defect == "non_finite":
+        X[0, 3, 1] = np.nan
+    else:
+        X[1, :, 0] = 2.0
+    with pytest.raises(ValueError):
+        fit_many(X, y)
+
+
+@pytest.mark.parametrize("offset, converges", [(1e4, True), (1e6, False)])
+def test_large_offset_covariate_reaches_the_centred_optimum(offset, converges):
+    # A covariate offset + N(0, 1) (timestamps over a short span, say) is full
+    # rank but badly conditioned against the intercept.  The fit must match
+    # the centred fit, mapped back by b0 -> b0 + offset * b1.  At 1e6 the
+    # intercept is only determined to about 1e-6 by the roundoff of X beta,
+    # so the absolute step test (1e-8) cannot pass there; the point reached
+    # must still be the optimum.
+    rng = np.random.default_rng(SEED + 20)
+    z = rng.standard_normal((200, 2))
+    centred = np.column_stack([np.ones(200), z])
+    y = simulate_dataset(200, [0.5, 0.3, -0.2], SEED + 21).y
+    ref = fit(Dataset(X=centred, y=y))
+    shifted = centred.copy()
+    shifted[:, 1] += offset
+    model = fit(Dataset(X=shifted, y=y))
+    assert model.converged == converges
+    mapped = model.beta.copy()
+    mapped[0] += offset * mapped[1]
+    np.testing.assert_allclose(mapped, ref.beta, rtol=0, atol=1e-7)

@@ -139,6 +139,21 @@ def test_theory_delta_grid_curves(tmp_path, restriction_file):
     assert len(un_traces) == 1
 
 
+def test_theory_delta_grid_into_the_thousands(tmp_path, restriction_file):
+    # Mixture weights at noncentralities near 5000 once failed to accumulate
+    # their mass for some last bits of delta.
+    deltas = [0.0, 2500.0] + [4990.0 + 0.5 * i for i in range(21)]
+    out = tmp_path / "far.csv"
+    proc = run_cli(
+        "theory", "--restriction", str(restriction_file),
+        "--delta-grid", ",".join(format(d, "g") for d in deltas), "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + len(deltas) * 5
+    assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
 # -------------------------------------------------------------- simulate
 
 

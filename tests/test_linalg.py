@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellshrink.linalg import SingularMatrixError, quad_form, spd_inverse, spd_solve
+from bellshrink.linalg import (
+    SingularMatrixError,
+    quad_form,
+    spd_inverse,
+    spd_solve,
+    spd_solve_stack,
+)
 
 
 def random_spd(k, rng, conditioning=1.0):
@@ -85,3 +91,28 @@ def test_solve_residual_property(k, seed):
     b = rng.standard_normal(k)
     x = spd_solve(A, b)
     assert np.abs(A @ x - b).max() <= 1e-8 * max(np.abs(b).max(), 1.0)
+
+
+def test_stack_follows_spd_solve_member_by_member():
+    # Each member is solved, rescued by jitter, or flagged exactly where
+    # spd_solve returns the same bits, rescues, or raises.
+    rng = np.random.default_rng(3024)
+    psd_singular = np.zeros((3, 3))
+    psd_singular[:2, :2] = 1.0
+    psd_singular[2, 2] = 1.0
+    a = np.stack([
+        random_spd(3, rng),
+        np.diag([1.0, -1.0, 1.0]),
+        psd_singular,
+        np.array([[1.0, 0.5, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.full((3, 3), np.nan),
+        random_spd(3, rng, conditioning=1e-6),
+    ])
+    b = rng.standard_normal((6, 3))
+    x, ok = spd_solve_stack(a, b)
+    assert ok.tolist() == [True, False, True, False, False, True]
+    for i in np.flatnonzero(ok):
+        np.testing.assert_array_equal(x[i], spd_solve(a[i], b[i]))
+    for i in np.flatnonzero(~ok):
+        with pytest.raises(SingularMatrixError):
+            spd_solve(a[i], b[i])

@@ -157,18 +157,21 @@ def test_fixed_design_mode_reuses_covariates():
 
 
 def test_nonconvergence_budget_enforced(monkeypatch):
-    def never_converges(data, **kwargs):
-        k = data.X.shape[1]
-        return FittedModel(
-            beta=np.zeros(k),
-            fisher_info=np.eye(k),
-            loglik=0.0,
-            converged=False,
-            n_iter=100,
-            n_clamped=0,
-        )
+    def never_converges(X, y, **kwargs):
+        k = X.shape[2]
+        return [
+            FittedModel(
+                beta=np.zeros(k),
+                fisher_info=np.eye(k),
+                loglik=0.0,
+                converged=False,
+                n_iter=100,
+                n_clamped=0,
+            )
+            for _ in range(X.shape[0])
+        ]
 
-    monkeypatch.setattr(mc, "fit", never_converges)
+    monkeypatch.setattr(mc, "fit_many", never_converges)
     with pytest.raises(ConvergenceError):
         run_simulation(small_config(replications=20))
 
@@ -203,3 +206,28 @@ def test_csv_bytes_stable_across_runs(tmp_path):
     write_table_csv(run_simulation(cfg).grid, p1)
     write_table_csv(run_simulation(cfg).grid, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _csv_bytes(grid, tmp_path, tag):
+    table, curves = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_curves.csv"
+    write_table_csv(grid, table)
+    write_curves_csv(grid, curves)
+    return table.read_bytes() + curves.read_bytes()
+
+
+def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
+    # At n = 20, p = 6 a few replications fail and are redrawn, so the
+    # retry path runs under every stacking too.
+    cfg = small_config(n=20, p=6, tau_grid=(0.0, 1.0), replications=60, seed=3)
+    entries = cfg.n * (cfg.p + 1)
+    outputs = {}
+    for cap in (1, 7, cfg.replications):
+        monkeypatch.setattr(mc, "_STACK_ELEMENTS", cap * entries)
+        result = run_simulation(cfg)
+        outputs[f"cap {cap}"] = _csv_bytes(result.grid, tmp_path, f"cap{cap}")
+    assert sum(point.n_retry for point in result.grid) > 0
+    monkeypatch.undo()
+    for threads in (1, 2):
+        result = run_simulation(cfg, threads=threads)
+        outputs[f"threads {threads}"] = _csv_bytes(result.grid, tmp_path, f"t{threads}")
+    assert len(set(outputs.values())) == 1, sorted(outputs)

@@ -8,11 +8,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import lambertw as scipy_lambertw
 from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ncx2 as scipy_ncx2
+from scipy.stats import poisson as scipy_poisson
+
+from bellshrink import special_fn
+from bellshrink.asymptotics import LocalAlternative, asymptotic_amse
+from bellshrink.shrinkage import LinearRestriction
 
 from bellshrink.special_fn import (
     NoncentralChiSq,
@@ -75,6 +81,15 @@ def test_lambert_w0_monotone():
 def test_lambert_w0_inverts_w_exp_w(x):
     w = lambert_w0(x)
     assert math.isclose(w * math.exp(w), x, rel_tol=1e-10)
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e15), min_size=1, max_size=40))
+@example(list(np.exp(np.random.default_rng(0).normal(0.0, 3.0, 5000))))
+@settings(max_examples=200, deadline=None)
+def test_lambert_w0_entry_does_not_depend_on_its_neighbours(xs):
+    w = lambert_w0(np.array(xs))
+    for i, x in enumerate(xs):
+        assert w[i] == lambert_w0(x)
 
 
 # ------------------------------------------------------------------ log_bell
@@ -251,3 +266,43 @@ def test_truncated_inverse_moment_limits():
 def test_truncated_never_exceeds_full_moment(dof, nc, cutoff):
     dist = NoncentralChiSq(dof, nc)
     assert truncated_inv_moment(dist, cutoff) <= inv_moment(dist) + 1e-12
+
+
+# ------------------------------------------------------- Poisson mixture weights
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 7.0, 300.0, 2489.898212957748, 2500.0, 1e5])
+def test_poisson_weights_cover_the_mass(lam):
+    js, ws = special_fn._poisson_weights(lam)
+    assert np.all(np.diff(js) == 1)
+    assert ws.sum() == pytest.approx(1.0, abs=1e-14)
+    outside = scipy_poisson.cdf(js[0] - 1, lam) + scipy_poisson.sf(js[-1], lam)
+    assert outside < 1e-12
+    np.testing.assert_allclose(ws, scipy_poisson.pmf(js, lam), rtol=0, atol=1e-12)
+
+
+def test_noncentral_cdf_at_noncentrality_where_accumulation_stalled():
+    # Accumulating terms until their sum reached 1 - 1e-12 never stopped here.
+    dist = NoncentralChiSq(3, 4979.796425915495)
+    value = noncentral_chisq_cdf(5000.0, dist)
+    assert value == pytest.approx(scipy_ncx2.cdf(5000.0, 3, dist.noncentrality), abs=1e-10)
+    nc = dist.noncentrality
+    sd = math.sqrt(2.0 * (5 + 2.0 * nc))
+    lo, hi = 5 + nc - 40.0 * sd, 5 + nc + 40.0 * sd  # all but a negligible mass
+    for order in (1, 2):
+        oracle, _ = integrate.quad(
+            lambda x: scipy_ncx2.pdf(x, 5, nc) / x**order, lo, hi,
+            points=[5 + nc], epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        assert inv_moment(NoncentralChiSq(5, nc), order) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_one_pjse_amse_computes_the_mixture_weights_once():
+    k, r = 6, 4
+    H = np.zeros((r, k))
+    H[:, 1 : r + 1] = np.eye(r)
+    la = LocalAlternative(np.full(r, 1.7), np.eye(k), LinearRestriction(H, np.zeros(r)))
+    special_fn._poisson_weights.cache_clear()
+    asymptotic_amse("PJSE", la, alpha=0.05)
+    info = special_fn._poisson_weights.cache_info()
+    assert info.misses == 1 and info.hits >= 9
