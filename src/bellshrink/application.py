@@ -17,13 +17,14 @@ degenerates (for example resampling the full dataset without replacement).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
 from .linalg import spd_inverse
-from .montecarlo import ESTIMATOR_ORDER, ConvergenceError, _replicate
+from .montecarlo import ESTIMATOR_ORDER, ConvergenceError, _fmt, _replicate, write_lines
 from .shrinkage import LinearRestriction, compute_all
 
 __all__ = [
@@ -94,7 +95,7 @@ class BREReport:
     coef_names: tuple[str, ...]
 
 
-def _parse_count(token: str, where: str) -> int:
+def _parse_count(token: str, where: str) -> None:
     try:
         val = float(token)
     except ValueError:
@@ -103,52 +104,86 @@ def _parse_count(token: str, where: str) -> int:
         raise DataFormatError(f"{where}: response {token!r} is not an integer count")
     if val < 0:
         raise DataFormatError(f"{where}: response {token!r} is negative")
-    return int(val)
 
 
-def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset, DataSummary]:
-    """Read a comma-separated UTF-8 file with a header row into a Dataset
-    (intercept column prepended) plus a summary with the overdispersion
-    ratio.  Parse failures name the offending row."""
-    covariate_columns = tuple(covariate_columns)
-    if not covariate_columns:
-        raise DataFormatError(f"{path}: no covariate columns requested")
-    ys: list[int] = []
-    rows: list[list[float]] = []
+def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None:
+    """Walk the rows of a file whose header is known to be good and raise
+    the DataFormatError of the first cell that `float()` or the count rules
+    reject, naming path:line; return if there is none.  Runs only after
+    the one-pass read has failed, to say where."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in (response_column, *covariate_columns) if c not in reader.fieldnames]
-        if missing:
-            raise DataFormatError(
-                f"{path}: missing columns {missing}; header has {reader.fieldnames}"
-            )
         for record in reader:
             where = f"{path}:{reader.line_num}"
             raw_y = record.get(response_column)
             if raw_y is None or raw_y == "":
                 raise DataFormatError(f"{where}: missing response value")
-            ys.append(_parse_count(raw_y, where))
-            vals = []
+            _parse_count(raw_y, where)
             for col in covariate_columns:
                 raw = record.get(col)
                 try:
-                    vals.append(float(raw))
+                    float(raw)
                 except (TypeError, ValueError):
                     raise DataFormatError(
                         f"{where}: covariate {col!r} value {raw!r} is not a number"
                     ) from None
-            rows.append(vals)
-    if not rows:
+
+
+def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset, DataSummary]:
+    """Read a CSV file into a Dataset (intercept column prepended) plus a
+    summary with the overdispersion ratio.
+
+    The file is UTF-8 and comma-separated, with a header row naming the
+    columns.  A field may be quoted with `"`.  Blank lines are skipped,
+    columns not asked for are ignored, and a name that appears twice in
+    the header refers to its last column.  Cells are read in numpy's float
+    syntax: what `float()` reads except digit separators (`1_0`) and
+    non-ASCII digits.  The response must hold non-negative integer counts.
+    A bad cell raises DataFormatError naming `path:line` of its row; a
+    cell that only numpy's syntax rejects is named by numpy's message.
+
+    The numbers come from one `np.loadtxt` pass; only when it or the count
+    check fails is the file walked row by row to find the line to report.
+    """
+    covariate_columns = tuple(covariate_columns)
+    if not covariate_columns:
+        raise DataFormatError(f"{path}: no covariate columns requested")
+    columns = (response_column, *covariate_columns)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}: missing columns {missing}; header has {header}")
+        index = {name: i for i, name in enumerate(header)}  # the last occurrence wins
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows; checked below
+                table = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=[index[c] for c in columns],
+                    ndmin=2,
+                    comments=None,
+                    quotechar='"',
+                )
+        except ValueError as exc:
+            _raise_first_bad_cell(path, response_column, covariate_columns)
+            raise DataFormatError(f"{path}: {exc}") from None
+    if not table.shape[0]:
         raise DataFormatError(f"{path}: no data rows")
-    y = np.array(ys, dtype=np.int64)
-    X = np.hstack([np.ones((len(rows), 1)), np.array(rows, dtype=float)])
-    data = Dataset(X, y)
+    y = table[:, 0]
+    if not np.all(np.isfinite(y) & (y >= 0) & (np.floor(y) == y) & (y < 2.0**63)):
+        _raise_first_bad_cell(path, response_column, covariate_columns)
+        raise DataFormatError(f"{path}: response counts must be integers in [0, 2**63)")
+    y = y.astype(np.int64)
+    table[:, 0] = 1.0  # the response column's place becomes the intercept
+    data = Dataset(table, y)
     mean = float(y.mean())
     var = float(y.var(ddof=1)) if y.size > 1 else 0.0
     summary = DataSummary(
-        n_rows=len(rows),
+        n_rows=y.size,
         response_column=response_column,
         covariate_columns=covariate_columns,
         response_mean=mean,
@@ -265,12 +300,8 @@ def write_bre_csv(report: BREReport, path) -> None:
     lines = ["estimator,coefficient,estimate,se,bre"]
     for row in report.rows:
         for name, est, se in zip(report.coef_names, row.coefficients, row.se):
-            lines.append(
-                f"{row.name},{name},{format(est, '.12g')},{format(se, '.12g')},"
-                f"{format(row.bre, '.12g')}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            lines.append(f"{row.name},{name},{_fmt(est)},{_fmt(se)},{_fmt(row.bre)}")
+    write_lines(path, lines)
 
 
 def model_comparison(data: Dataset, rest: LinearRestriction, alpha: float = 0.05):

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .linalg import SingularMatrixError, spd_solve_stack
-from .special_fn import lambert_w0, log_bell
+from .special_fn import lambert_w0, log_bell_many
 
 __all__ = [
     "Dataset",
@@ -146,7 +146,7 @@ def _kernel(eta: np.ndarray, y: np.ndarray) -> float:
 
 def _bell_constant(y: np.ndarray) -> float:
     vals, counts = np.unique(y, return_counts=True)
-    lb = np.array([log_bell(int(v)) for v in vals])
+    lb = log_bell_many(vals)
     return float(np.sum(counts * (lb - gammaln(vals + 1.0))))
 
 

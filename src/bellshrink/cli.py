@@ -30,8 +30,10 @@ from .linalg import SingularMatrixError, spd_inverse, spd_solve
 from .montecarlo import (
     ConvergenceError,
     SimConfig,
+    _fmt,
     run_simulation,
     write_curves_csv,
+    write_lines,
     write_table_csv,
 )
 from .shrinkage import compute_all, load_restriction
@@ -50,10 +52,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -163,7 +161,7 @@ def _cmd_fit(args) -> int:
     if args.out:
         lines = ["coefficient,estimate,se"]
         lines += [f"{n},{_fmt(b)},{_fmt(s)}" for n, b, s in zip(names, model.beta, se)]
-        _write_lines(args.out, lines)
+        write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -200,7 +198,7 @@ def _cmd_estimate(args) -> int:
         for est, vec in rows:
             for n, v in zip(names, vec):
                 lines.append(f"{est},{n},{_fmt(v)},{_fmt(est_set.f_stat)},{_fmt(p_value)}")
-        _write_lines(args.out, lines)
+        write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -240,7 +238,7 @@ def _cmd_theory(args) -> int:
                 lines.append(f"{est},{i},{_fmt(bias[i])},{_fmt(amse[i, i])},{_fmt(tr)}")
         _print_table(["estimator", "delta", "bias_norm", "amse_trace"], table)
         if args.out:
-            _write_lines(args.out, lines)
+            write_lines(args.out, lines)
         return EXIT_OK
     deltas = _parse_floats(args.delta_grid, "--delta-grid")
     if any(d < 0 for d in deltas):
@@ -272,7 +270,7 @@ def _cmd_theory(args) -> int:
     if len(lines) > 12:
         print(f"... {len(lines) - 1} rows total")
     if args.out:
-        _write_lines(args.out, lines)
+        write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -330,10 +328,9 @@ def _parse_sim_config(path) -> dict:
 def _cmd_simulate(args) -> int:
     raw = _parse_sim_config(args.config)
     seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
-    grid = []
-    for n in raw["n"]:
-        for p in raw["p"]:
-            cfg = SimConfig(
+    try:
+        configs = [
+            SimConfig(
                 n=n,
                 p=p,
                 tau_grid=tuple(raw["tau"]),
@@ -342,14 +339,21 @@ def _cmd_simulate(args) -> int:
                 seed=seed,
                 fixed_design=raw.get("fixed_design", False),
             )
-            result = run_simulation(cfg, threads=max(1, args.threads))
-            grid.extend(result.grid)
-            for gp in result.grid:
-                print(
-                    f"(n={gp.n}, p={gp.p}, tau={gp.tau:g}): "
-                    + "  ".join(f"SRE[{e}]={gp.sre[e]:.4f}" for e in ("RE", "JSE", "PJSE", "PTE"))
-                    + f"  retries={gp.n_retry}"
-                )
+            for n in raw["n"]
+            for p in raw["p"]
+        ]
+    except ValueError as exc:
+        raise UsageError(f"{args.config}: {exc}") from None
+    grid = []
+    for cfg in configs:
+        result = run_simulation(cfg, threads=max(1, args.threads))
+        grid.extend(result.grid)
+        for gp in result.grid:
+            print(
+                f"(n={gp.n}, p={gp.p}, tau={gp.tau:g}): "
+                + "  ".join(f"SRE[{e}]={gp.sre[e]:.4f}" for e in ("RE", "JSE", "PJSE", "PTE"))
+                + f"  retries={gp.n_retry}"
+            )
     write_table_csv(grid, args.out)
     stem, ext = os.path.splitext(args.out)
     curves_path = f"{stem}_curves{ext or '.csv'}"
@@ -389,11 +393,6 @@ def _cmd_bootstrap(args) -> int:
     if args.out:
         write_bre_csv(report, args.out)
     return EXIT_OK
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

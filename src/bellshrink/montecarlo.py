@@ -46,6 +46,7 @@ __all__ = [
     "generate_dataset",
     "run_simulation",
     "write_curves_csv",
+    "write_lines",
     "write_table_csv",
 ]
 
@@ -88,6 +89,18 @@ class SimConfig:
         taus = tuple(float(t) for t in self.tau_grid)
         if not taus or not all(np.isfinite(t) for t in taus):
             raise ValueError("tau_grid must be a nonempty list of finite values")
+        negative = [t for t in taus if t < 0]
+        if negative:
+            raise ValueError(f"tau_grid entries must be >= 0, got {negative}")
+        first: dict[int, float] = {}
+        for t in taus:
+            key = _tau_key(t)
+            if key in first:
+                raise ValueError(
+                    f"tau_grid entries {first[key]!r} and {t!r} share one random "
+                    "stream (taus are keyed to 1e-6)"
+                )
+            first[key] = t
         object.__setattr__(self, "tau_grid", taus)
         beta = self.true_beta
         if beta is None:
@@ -146,8 +159,13 @@ def _dataset_for_design(X: np.ndarray, true_beta: np.ndarray, rng) -> Dataset:
     return Dataset(X, y)
 
 
+def _tau_key(tau: float) -> int:
+    """The entry of a substream key that stands for tau."""
+    return int(round(tau * 1_000_000))
+
+
 def _substream(seed: int, n: int, p: int, tau: float, rep: int, attempt: int):
-    key = (n, p, int(round(tau * 1_000_000)), rep, attempt)
+    key = (n, p, _tau_key(tau), rep, attempt)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -290,7 +308,15 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> SimResult:
 
 
 def _fmt(x: float) -> str:
+    """A number as every CSV and table of the package prints it."""
     return format(float(x), ".12g")
+
+
+def write_lines(path, lines) -> None:
+    """Write lines as UTF-8 text, each ended by one LF, so output files
+    have the same bytes on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_table_csv(grid, path) -> None:
@@ -302,8 +328,7 @@ def write_table_csv(grid, path) -> None:
                 f"{gp.n},{gp.p},{_fmt(gp.tau)},{name},{_fmt(gp.smse[name])},"
                 f"{_fmt(gp.sre[name])},{_fmt(gp.sre_se[name])},{gp.n_retry}"
             )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_curves_csv(grid, path) -> None:
@@ -312,5 +337,4 @@ def write_curves_csv(grid, path) -> None:
     for gp in grid:
         for name in _RATIO_ESTIMATORS:
             lines.append(f"{gp.n},{gp.p},{_fmt(gp.tau)},{name},{_fmt(gp.sre[name])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -35,6 +35,7 @@ __all__ = [
     "inv_moment",
     "lambert_w0",
     "log_bell",
+    "log_bell_many",
     "noncentral_chisq_cdf",
     "truncated_inv_moment",
 ]
@@ -150,6 +151,26 @@ def log_bell(n) -> float:
             cached = _log_bell_series(n)
             _bell_large[n] = cached
         return cached
+
+
+def log_bell_many(n: np.ndarray) -> np.ndarray:
+    """`log_bell` of every entry of an integer array, to the same bits:
+    entries up to 512 in one lookup in the exact cache, larger ones one
+    call each."""
+    n = np.asarray(n)
+    if n.size and (n.dtype.kind not in "iu" or n.min() < 0):
+        raise ValueError("Bell numbers need integer n >= 0")
+    out = np.empty(n.shape)
+    exact = n <= _EXACT_LIMIT
+    if exact.any():
+        top = int(n[exact].max())
+        if top >= len(_bell_logs):
+            with _bell_lock:
+                _extend_exact(top)
+        out[exact] = np.array(_bell_logs[: top + 1])[n[exact]]
+    for i in np.flatnonzero(~exact):
+        out.flat[i] = log_bell(int(n.flat[i]))
+    return out
 
 
 # --- noncentral chi-square -------------------------------------------------

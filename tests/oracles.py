@@ -2,9 +2,12 @@
 
 Everything here is deliberately written with a different algorithm than the
 library code it checks: constrained estimation via an explicit KKT system,
-inverse moments via adaptive quadrature, and the limiting-distribution
-moments via brute-force normal sampling.
+inverse moments via adaptive quadrature, the limiting-distribution
+moments via brute-force normal sampling, and CSV ingestion via
+`csv.DictReader` and one `float()` per cell.
 """
+import csv
+
 import numpy as np
 from scipy import integrate
 from scipy.stats import chi2, ncx2
@@ -138,3 +141,68 @@ def pooled_gof(observed_counts, probabilities, n_draws, min_expected=5.0):
     stat = float(((obs_pooled - exp_pooled) ** 2 / exp_pooled).sum())
     dof = len(obs_pooled) - 1
     return stat, float(chi2.sf(stat, dof)), dof
+
+
+def load_dataset_rowwise(path, response_column, covariate_columns):
+    """`application.load_dataset` as a row-by-row DictReader walk with one
+    float() per cell: the same Dataset, DataSummary and error messages on
+    every file whose cells numpy's float syntax also accepts."""
+    from bellshrink.application import DataFormatError, DataSummary
+    from bellshrink.bell_glm import Dataset
+
+    def parse_count(token, where):
+        try:
+            val = float(token)
+        except ValueError:
+            raise DataFormatError(f"{where}: response {token!r} is not a number") from None
+        if not val.is_integer() or not np.isfinite(val):
+            raise DataFormatError(f"{where}: response {token!r} is not an integer count")
+        if val < 0:
+            raise DataFormatError(f"{where}: response {token!r} is negative")
+        return int(val)
+
+    covariate_columns = tuple(covariate_columns)
+    if not covariate_columns:
+        raise DataFormatError(f"{path}: no covariate columns requested")
+    ys, rows = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataFormatError(f"{path}: empty file, expected a header row")
+        missing = [c for c in (response_column, *covariate_columns) if c not in reader.fieldnames]
+        if missing:
+            raise DataFormatError(
+                f"{path}: missing columns {missing}; header has {reader.fieldnames}"
+            )
+        for record in reader:
+            where = f"{path}:{reader.line_num}"
+            raw_y = record.get(response_column)
+            if raw_y is None or raw_y == "":
+                raise DataFormatError(f"{where}: missing response value")
+            ys.append(parse_count(raw_y, where))
+            vals = []
+            for col in covariate_columns:
+                raw = record.get(col)
+                try:
+                    vals.append(float(raw))
+                except (TypeError, ValueError):
+                    raise DataFormatError(
+                        f"{where}: covariate {col!r} value {raw!r} is not a number"
+                    ) from None
+            rows.append(vals)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    y = np.array(ys, dtype=np.int64)
+    X = np.hstack([np.ones((len(rows), 1)), np.array(rows, dtype=float)])
+    data = Dataset(X, y)
+    mean = float(y.mean())
+    var = float(y.var(ddof=1)) if y.size > 1 else 0.0
+    summary = DataSummary(
+        n_rows=len(rows),
+        response_column=response_column,
+        covariate_columns=covariate_columns,
+        response_mean=mean,
+        response_variance=var,
+        overdispersion=var / mean if mean > 0 else float("nan"),
+    )
+    return data, summary

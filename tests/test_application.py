@@ -1,6 +1,10 @@
 """Data-pipeline checks: CSV ingestion, bootstrap efficiency, model comparison."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bellshrink.montecarlo as mc
 from bellshrink.application import (
@@ -13,6 +17,7 @@ from bellshrink.application import (
 )
 from bellshrink.shrinkage import LinearRestriction
 from conftest import simulate_dataset
+from oracles import load_dataset_rowwise
 
 SEED = 550124
 
@@ -92,6 +97,131 @@ def test_load_dataset_empty_file(tmp_path):
     path = write_csv(tmp_path, "")
     with pytest.raises(DataFormatError):
         load_dataset(path, "y", ["x"])
+
+
+def _outcome(loader, path, response, covariates):
+    """What a loader makes of a file: its data and summary, or its error."""
+    try:
+        data, summary = loader(path, response, covariates)
+    except ValueError as exc:  # DataFormatError included
+        return type(exc), str(exc)
+    return data, summary
+
+
+def assert_same_as_rowwise(path, response, covariates):
+    new = _outcome(load_dataset, path, response, covariates)
+    old = _outcome(load_dataset_rowwise, path, response, covariates)
+    if isinstance(old[0], type):
+        assert new == old
+        return
+    assert not isinstance(new[0], type), new
+    for got, want in ((new[0].X, old[0].X), (new[0].y, old[0].y)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)  # bit-identical, NaN-free
+    np.testing.assert_equal(dataclasses.asdict(new[1]), dataclasses.asdict(old[1]))
+
+
+@st.composite
+def count_csv(draw):
+    """A valid data file in many spellings: shuffled, extra and repeated
+    columns, blank lines, CRLF, quoted and padded cells, `3` or `3.0`."""
+    covariates = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=3,
+                               unique=True))
+    extra = draw(st.lists(st.sampled_from(["note", "id", "a", "y"]), max_size=2))
+    header = draw(st.permutations(["y", *covariates, *extra]))
+    n = draw(st.integers(len(covariates) + 2, 12))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    spell = st.sampled_from(["{:.17g}", "{!r}", "{:.6g}", "{:e}"])
+
+    def dress(text):
+        text = draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " "]))
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f'"{h}"' if draw(st.booleans()) else h for h in header)]
+    for _ in range(n):
+        cells = []
+        for name in header:
+            if name in ("note", "id"):
+                cells.append(draw(st.sampled_from(["", "x", 'a"b', '"p,q"', "12"])))
+            elif name == "y":
+                count = draw(st.integers(0, 40))
+                cells.append(dress(draw(st.sampled_from([f"{count}", f"{count}.0"]))))
+            else:
+                cells.append(dress(draw(spell).format(draw(floats))))
+        lines.append(",".join(cells))
+        lines.extend([""] * draw(st.sampled_from([0, 0, 0, 1, 2])))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), covariates
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=count_csv())
+def test_load_dataset_matches_rowwise_oracle(case, tmp_path):
+    text, covariates = case
+    path = write_csv(tmp_path, text)
+    assert_same_as_rowwise(path, "y", covariates)
+
+
+# The bad row of each case; it follows one good row and blank_lines blank
+# lines, so it sits on line 3 + blank_lines.
+BAD_ROWS = {
+    "negative response": "-2,0.5",
+    "fractional response": "2.5,0.5",
+    "infinite response": "inf,0.5",
+    "non-numeric response": "three,0.5",
+    "empty response": ",0.5",
+    "short row": "2",
+    "non-numeric covariate": "2,oops",
+}
+
+
+@pytest.mark.parametrize("blank_lines", [0, 2])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_load_dataset_bad_row_names_its_line(tmp_path, case, blank_lines):
+    text = "y,x\n3,1.0\n" + "\n" * blank_lines + BAD_ROWS[case] + "\n1,2.0\n0,1.5\n"
+    path = write_csv(tmp_path, text)
+    with pytest.raises(DataFormatError, match=f"^{path}:{3 + blank_lines}: "):
+        load_dataset(path, "y", ["x"])
+    assert_same_as_rowwise(path, "y", ["x"])
+
+
+@pytest.mark.parametrize(
+    "text, columns",
+    [
+        ("y,x\n", ["x"]),  # header only
+        ("y,x\n\n\n", ["x"]),  # header and blank lines
+        ("", ["x"]),
+        ("y,x\n3,1.0\n", ["x9"]),
+        ("y,x\n3,1.0\n2,0.5\n", ["x"]),  # too few rows for the model
+        ("y,x\n3,nan\n2,0.5\n1,0.25\n", ["x"]),  # non-finite covariate
+    ],
+)
+def test_load_dataset_file_errors_match_rowwise_oracle(tmp_path, text, columns):
+    path = write_csv(tmp_path, text)
+    with pytest.raises(ValueError):
+        load_dataset(path, "y", columns)
+    assert_same_as_rowwise(path, "y", columns)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_load_dataset_rejects_float_spellings_outside_numpy_syntax(tmp_path, cell):
+    # float() reads `1_0` as 10 and the Arabic-Indic digit as 1; numpy does not.
+    path = write_csv(tmp_path, f"y,x\n3,1.0\n2,{cell}\n1,2.0\n0,0.5\n")
+    with pytest.raises(DataFormatError, match=f"^{path}: .*{cell}"):
+        load_dataset(path, "y", ["x"])
+
+
+def test_load_dataset_rejects_counts_beyond_int64(tmp_path):
+    path = write_csv(tmp_path, "y,x\n3,1.0\n1e19,0.5\n1,2.0\n0,0.5\n")
+    with pytest.raises(DataFormatError, match=f"^{path}: response counts"):
+        load_dataset(path, "y", ["x"])
+
+
+def test_load_dataset_duplicate_header_uses_last_column(tmp_path):
+    path = write_csv(tmp_path, "x,y,x\n9,3,1.0\n9,2,0.5\n9,1,2.0\n9,0,1.5\n")
+    data, _ = load_dataset(path, "y", ["x"])
+    np.testing.assert_array_equal(data.X[:, 1], [1.0, 0.5, 2.0, 1.5])
 
 
 # ------------------------------------------------------------------ bootstrap

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from bellshrink.bell_dist import BellParam, log_pmf
 from bellshrink.bell_glm import (
     Dataset,
     FittedModel,
+    _bell_constant,
     aic,
     fisher_information,
     fit,
@@ -19,6 +21,7 @@ from bellshrink.bell_glm import (
 )
 from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.montecarlo import generate_dataset
+from bellshrink.special_fn import log_bell, log_bell_many
 from conftest import build_design, simulate_dataset
 
 SEED = 90210
@@ -34,6 +37,31 @@ def test_dataset_validation():
         Dataset(X=X, y=np.array([1, 0, 2, -1, 1]))
     with pytest.raises(ValueError):
         Dataset(X=X[:2], y=y[:2])  # n must exceed p+1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y=st.lists(
+        st.one_of(st.integers(0, 40), st.integers(0, 600), st.integers(500, 2000)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_bell_constant_equals_per_value_sum_bitwise(y):
+    # The sum of log B(y_i) - log y_i! over distinct counts, one log_bell
+    # call per count: the same terms in the same order give the same bits.
+    y = np.array(y, dtype=np.int64)
+    vals, counts = np.unique(y, return_counts=True)
+    lb = np.array([log_bell(int(v)) for v in vals])
+    assert _bell_constant(y) == float(np.sum(counts * (lb - gammaln(vals + 1.0))))
+    np.testing.assert_array_equal(log_bell_many(vals), lb)
+
+
+def test_log_bell_many_rejects_negative_or_fractional_input():
+    with pytest.raises(ValueError):
+        log_bell_many(np.array([3, -1]))
+    with pytest.raises(ValueError):
+        log_bell_many(np.array([3.0, 1.5]))
 
 
 def test_loglik_matches_hand_value_for_zero_counts():

@@ -205,6 +205,26 @@ def test_simulate_rejects_unknown_config_key(tmp_path):
     assert proc.stderr.startswith("error: usage:")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n = 50\np = 3\ntau = -0.5\nreplications = 2\n",
+        "n = 50\np = 3\ntau = 0.1234561, 0.1234564\nreplications = 2\n",
+        # the second design is invalid; the first must not run
+        "n = 50\np = 3, 2\ntau = 0\nreplications = 2\n",
+    ],
+)
+def test_simulate_rejects_invalid_design_before_running(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: usage: {cfg}: ")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- bootstrap
 
 

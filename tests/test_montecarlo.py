@@ -94,6 +94,28 @@ def test_config_validation():
         small_config(tau_grid=())
 
 
+def test_config_rejects_negative_tau():
+    with pytest.raises(ValueError, match=r"-0\.5"):
+        SimConfig(n=50, p=3, tau_grid=(0.2, -0.5), replications=2)
+
+
+@pytest.mark.parametrize("taus", [(0.1234561, 0.1234564), (0.5, 0.5)])
+def test_config_rejects_taus_sharing_a_stream(taus):
+    # Substreams key tau as round(tau * 1e6); two such taus would draw
+    # identical data.
+    assert mc._tau_key(taus[0]) == mc._tau_key(taus[1])
+    with pytest.raises(ValueError, match=f"{taus[0]!r} and {taus[1]!r}"):
+        SimConfig(n=50, p=3, tau_grid=(0.0, *taus), replications=2)
+
+
+def test_valid_tau_keeps_its_stream():
+    # The key of an accepted tau is unchanged, so its draws (and CSVs) are.
+    key = (50, 3, 123456, 4, 1)
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=key)))
+    got = mc._substream(9, 50, 3, 0.123456, 4, 1)
+    np.testing.assert_array_equal(got.random(5), want.random(5))
+
+
 def test_run_simulation_basic_structure():
     result = run_simulation(small_config())
     assert len(result.grid) == 1
