@@ -24,8 +24,8 @@ import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
 from .linalg import spd_inverse
-from .montecarlo import ESTIMATOR_ORDER, ConvergenceError, _fmt, _replicate, write_lines
-from .shrinkage import LinearRestriction, compute_all
+from .montecarlo import ConvergenceError, _fmt, _replicate, write_lines
+from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, compute_all, estimator_names
 
 __all__ = [
     "BootstrapConfig",
@@ -95,9 +95,18 @@ class BREReport:
     coef_names: tuple[str, ...]
 
 
+def _numpy_float(token: str) -> float:
+    """float(token) under numpy's float syntax, which `np.loadtxt` applies:
+    surrounding whitespace, then an ASCII number without digit separators."""
+    core = token.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"could not convert string {token!r} to float64")
+    return float(core)
+
+
 def _parse_count(token: str, where: str) -> None:
     try:
-        val = float(token)
+        val = _numpy_float(token)
     except ValueError:
         raise DataFormatError(f"{where}: response {token!r} is not a number") from None
     if not val.is_integer() or not np.isfinite(val):
@@ -108,9 +117,9 @@ def _parse_count(token: str, where: str) -> None:
 
 def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None:
     """Walk the rows of a file whose header is known to be good and raise
-    the DataFormatError of the first cell that `float()` or the count rules
-    reject, naming path:line; return if there is none.  Runs only after
-    the one-pass read has failed, to say where."""
+    the DataFormatError of the first cell that numpy's float syntax or the
+    count rules reject, naming path:line; return if there is none.  Runs
+    only after the one-pass read has failed, to say where."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for record in reader:
@@ -122,8 +131,8 @@ def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None
             for col in covariate_columns:
                 raw = record.get(col)
                 try:
-                    float(raw)
-                except (TypeError, ValueError):
+                    _numpy_float(raw or "")
+                except ValueError:
                     raise DataFormatError(
                         f"{where}: covariate {col!r} value {raw!r} is not a number"
                     ) from None
@@ -139,8 +148,7 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     the header refers to its last column.  Cells are read in numpy's float
     syntax: what `float()` reads except digit separators (`1_0`) and
     non-ASCII digits.  The response must hold non-negative integer counts.
-    A bad cell raises DataFormatError naming `path:line` of its row; a
-    cell that only numpy's syntax rejects is named by numpy's message.
+    A bad cell raises DataFormatError naming `path:line` of its row.
 
     The numbers come from one `np.loadtxt` pass; only when it or the count
     check fails is the file walked row by row to find the line to report.
@@ -205,20 +213,23 @@ class _ResampleDraw:
 
     where = " of the bootstrap"
 
-    def __call__(self, rep: int, attempt: int) -> Dataset:
+    def _rows(self, rep: int, attempt: int) -> np.ndarray:
+        if not self.with_replacement:
+            return np.arange(self.y.size)
         seq = np.random.SeedSequence(self.seed, spawn_key=(rep, attempt))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        if self.with_replacement:
-            idx = rng.choice(self.y.size, size=self.n_obs, replace=True)
-        else:
-            idx = np.arange(self.y.size)
+        return np.random.Generator(np.random.PCG64(seq)).choice(
+            self.y.size, size=self.n_obs, replace=True
+        )
+
+    def __call__(self, rep: int, attempt: int) -> Dataset:
+        idx = self._rows(rep, attempt)
         return Dataset(self.X[idx], self.y[idx])
 
-
-def _estimator_names(r: int) -> tuple[str, ...]:
-    if r >= 3:
-        return ("UN", "RE", "JSE", "PJSE", "PTE")
-    return ("UN", "RE", "PTE")
+    def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """The resamples of reps on one attempt as X (m, n_obs, k) and
+        y (m, n_obs), gathered with one (m, n_obs) index array."""
+        idx = np.stack([self._rows(rep, attempt) for rep in reps])
+        return self.X[idx], self.y[idx]
 
 
 def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BREReport:
@@ -241,7 +252,7 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     truth = cfg.pseudo_truth if cfg.pseudo_truth is not None else full.beta
     if truth.shape != (data.n_params,):
         raise ValueError(f"pseudo_truth must have shape ({data.n_params},), got {truth.shape}")
-    names = _estimator_names(cfg.restriction.n_restrictions)
+    names = estimator_names(cfg.restriction.n_restrictions)
     draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size, cfg.with_replacement)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
     _, est, retries = _replicate(

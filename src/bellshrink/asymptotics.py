@@ -37,7 +37,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .linalg import spd_inverse, spd_solve
-from .shrinkage import LinearRestriction
+from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction
 
 __all__ = [
     "LimitMoments",
@@ -49,9 +49,8 @@ __all__ = [
 
 from .special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf, truncated_inv_moment
 
-_BIAS_ESTIMATORS = ("RE", "JSE", "PJSE", "PTE")
-_AMSE_ESTIMATORS = ("UN", "RE", "JSE", "PJSE", "PTE")
-_MIN_JS_RESTRICTIONS = 3
+_BIAS_ESTIMATORS = ESTIMATOR_ORDER[1:]  # UN is unbiased
+_AMSE_ESTIMATORS = ESTIMATOR_ORDER
 
 
 @dataclass

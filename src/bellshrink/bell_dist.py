@@ -12,9 +12,7 @@ so the law is overdispersed for every theta and the mean determines theta
 through the Lambert W function.
 
 Sampling uses the compound-Poisson representation: Y is a sum of N i.i.d.
-zero-truncated Poisson(theta) variates with N ~ Poisson(e**theta - 1).  A
-plain inversion sampler from the cumulative pmf is kept alongside as a
-slow reference implementation.
+zero-truncated Poisson(theta) variates with N ~ Poisson(e**theta - 1).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .special_fn import lambert_w0, log_bell
 
 __all__ = [
     "BellParam",
-    "inversion_sample",
     "log_pmf",
     "moments",
     "pmf",
@@ -162,23 +159,3 @@ def sample(param: BellParam, rng: np.random.Generator, size: int | None = None):
         return int(sample_counts(np.array([param.theta]), rng)[0])
     return sample_counts(np.full(int(size), param.theta), rng)
 
-
-def inversion_sample(param: BellParam, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Reference sampler: invert the cumulative pmf by table lookup.
-
-    The table is extended until the uncovered tail mass is below 1e-12,
-    so it is exact for practical purposes but linear in the support it
-    has to walk; use `sample` for anything performance-sensitive.
-    """
-    probs = [float(pmf(0, param))]
-    total = probs[0]
-    y = 0
-    while total < 1.0 - 1e-12:
-        y += 1
-        probs.append(float(pmf(y, param)))
-        total += probs[-1]
-        if y > 100_000_000:
-            raise RuntimeError("pmf table failed to accumulate mass")
-    cum = np.cumsum(probs)
-    u = rng.random(int(size))
-    return np.searchsorted(cum, u, side="right").astype(np.int64)

@@ -144,10 +144,24 @@ def _kernel(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(contrib) - np.sum(np.exp(theta)) + y.size)
 
 
+def _bell_constants(counts: np.ndarray) -> np.ndarray:
+    """sum_i log(B_{y_i} / y_i!) for each row of counts (m, n).
+
+    One table of Bell logs serves the whole stack.  Each row sums its
+    distinct counts in ascending order, each term weighted by how often
+    its count occurs, so a row's value does not depend on the others."""
+    s = np.sort(counts, axis=1)
+    first = np.ones(s.shape, dtype=bool)
+    first[:, 1:] = s[:, 1:] != s[:, :-1]
+    starts = np.flatnonzero(first)  # flat position of each row's distinct counts
+    vals, inv = np.unique(s.ravel()[starts], return_inverse=True)
+    terms = np.diff(starts, append=s.size) * (log_bell_many(vals) - gammaln(vals + 1.0))[inv]
+    ends = np.cumsum(np.count_nonzero(first, axis=1)).tolist()
+    return np.array([terms[a:b].sum() for a, b in zip([0, *ends], ends)])
+
+
 def _bell_constant(y: np.ndarray) -> float:
-    vals, counts = np.unique(y, return_counts=True)
-    lb = log_bell_many(vals)
-    return float(np.sum(counts * (lb - gammaln(vals + 1.0))))
+    return float(_bell_constants(y[None])[0])
 
 
 def loglik(beta, data: Dataset) -> float:
@@ -268,23 +282,25 @@ def fit_many(
         resid = (m.y - cur.mu) / one_plus
         info = Xt @ (m.X * v[..., None])
         stop = done if n_iter < max_iter else np.ones_like(done)
-        for i in np.flatnonzero(stop):
-            ll = float(cur.kern[i]) + _bell_constant(m.counts[i])
-            converged = bool(
-                done[i]
-                and cur.clipped[i] == 0
-                and np.isfinite(ll)
-                and np.linalg.norm(Xt[i] @ resid[i]) <= 1e-6 * (1.0 + abs(ll))
-            )
-            models[m.ids[i]] = FittedModel(
-                beta=cur.beta[i].copy(),
-                fisher_info=info[i].copy(),
-                loglik=ll,
-                converged=converged,
-                n_iter=n_iter,
-                n_clamped=int(m.n_clamped[i]),
-            )
         if stop.any():
+            fin = np.flatnonzero(stop)
+            ll = cur.kern[fin] + _bell_constants(m.counts[fin])
+            score = np.linalg.norm((Xt[fin] @ resid[fin][..., None])[..., 0], axis=-1)
+            converged = (
+                done[fin]
+                & (cur.clipped[fin] == 0)
+                & np.isfinite(ll)
+                & (score <= 1e-6 * (1.0 + np.abs(ll)))
+            )
+            for j, i in enumerate(fin):
+                models[m.ids[i]] = FittedModel(
+                    beta=cur.beta[i].copy(),
+                    fisher_info=info[i].copy(),
+                    loglik=float(ll[j]),
+                    converged=bool(converged[j]),
+                    n_iter=n_iter,
+                    n_clamped=int(m.n_clamped[i]),
+                )
             keep = ~stop
             m, cur = _take(m, keep), _take(cur, keep)
             v, resid, info = v[keep], resid[keep], info[keep]

@@ -36,7 +36,7 @@ from .montecarlo import (
     write_lines,
     write_table_csv,
 )
-from .shrinkage import compute_all, load_restriction
+from .shrinkage import ESTIMATOR_ORDER, compute_all, estimator_names, load_restriction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,7 +167,7 @@ def _cmd_fit(args) -> int:
 
 def _estimator_table(est_set):
     rows = []
-    for est in ("UN", "RE", "JSE", "PJSE", "PTE"):
+    for est in ESTIMATOR_ORDER:
         vec = getattr(est_set, est.lower())
         if vec is None:
             continue
@@ -209,17 +209,13 @@ def _read_fisher(path, k: int) -> np.ndarray:
     return mat
 
 
-def _theory_estimators(r: int):
-    return ("UN", "RE", "JSE", "PJSE", "PTE") if r >= 3 else ("UN", "RE", "PTE")
-
-
 def _cmd_theory(args) -> int:
     rest = load_restriction(args.restriction)
     r, k = rest.H.shape
     fisher = _read_fisher(args.fisher, k) if args.fisher else np.eye(k)
     if (args.gamma is None) == (args.delta_grid is None):
         raise UsageError("theory needs exactly one of --gamma or --delta-grid")
-    ests = _theory_estimators(r)
+    ests = estimator_names(r)
     if args.gamma is not None:
         gamma = _parse_floats(args.gamma, "--gamma")
         if len(gamma) == 1:
@@ -327,6 +323,10 @@ def _parse_sim_config(path) -> dict:
 
 def _cmd_simulate(args) -> int:
     raw = _parse_sim_config(args.config)
+    for key in ("n", "p"):
+        repeated = sorted({v for v in raw[key] if raw[key].count(v) > 1})
+        if repeated:
+            raise UsageError(f"{args.config}: {key} repeats {repeated}; each design runs once")
     seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
     try:
         configs = [
@@ -351,7 +351,7 @@ def _cmd_simulate(args) -> int:
         for gp in result.grid:
             print(
                 f"(n={gp.n}, p={gp.p}, tau={gp.tau:g}): "
-                + "  ".join(f"SRE[{e}]={gp.sre[e]:.4f}" for e in ("RE", "JSE", "PJSE", "PTE"))
+                + "  ".join(f"SRE[{e}]={gp.sre[e]:.4f}" for e in ESTIMATOR_ORDER[1:])
                 + f"  retries={gp.n_retry}"
             )
     write_table_csv(grid, args.out)

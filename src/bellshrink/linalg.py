@@ -4,9 +4,9 @@ All solves go through a Cholesky factorization (LAPACK dposv).  A failed
 factorization gets one retry with a jitter of 1e-10 * trace/dim added to
 the diagonal; a matrix that fails both, or that is non-finite or not
 symmetric, is not positive definite.  `spd_solve` and `spd_inverse` raise
-SingularMatrixError for it; `spd_solve_stack`, which solves a stack of
-small systems one member at a time, flags the member instead, so one
-singular member cannot fail the others.
+SingularMatrixError for it; `spd_solve_each` and `spd_solve_stack`, which
+solve a stack of small systems one member at a time, flag the member
+instead, so one singular member cannot fail the others.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from scipy.linalg.lapack import dposv
 
 __all__ = [
     "SingularMatrixError",
-    "quad_form",
     "spd_inverse",
     "spd_solve",
+    "spd_solve_each",
     "spd_solve_stack",
 ]
 
@@ -75,26 +75,25 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
-def quad_form(v: np.ndarray, a: np.ndarray) -> float:
-    """v' a**-1 v for SPD a; nonnegative up to roundoff."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ spd_solve(a, v))
+def spd_solve_each(a: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]:
+    """Solve a[i] x[i] = b[i] for a stack of matrices (m, k, k) and
+    right-hand sides (m, k) or (m, k, r) under the rules of `spd_solve`.
+
+    Returns one solution per member, as `spd_solve` returns it for that
+    member alone (same bits, same memory layout), or None where
+    `spd_solve` would raise or b[i] is not finite.  Members never affect
+    each other, neither in their bits nor in their failure.
+    """
+    ok = _symmetric_finite(a) & np.all(np.isfinite(b), axis=tuple(range(1, b.ndim)))
+    return [_cholesky_solve(a[i], b[i]) if ok[i] else None for i in range(len(a))]
 
 
 def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a[i] x[i] = b[i] for a stack of matrices (m, k, k) and
-    right-hand sides (m, k) under the rules of `spd_solve`.
-
-    Returns (x, ok): ok[i] is False where `spd_solve` would raise for
-    member i, and x[i] is then meaningless.  Members never affect each
-    other, neither in their bits nor in their failure.
-    """
+    """`spd_solve_each` packed into arrays: returns (x, ok), where ok[i] is
+    False for a member without a solution and x[i] is then meaningless."""
     x = np.empty_like(b)
-    ok = _symmetric_finite(a) & np.all(np.isfinite(b), axis=-1)
+    xs = spd_solve_each(a, b)
+    ok = np.array([xi is not None for xi in xs], dtype=bool)
     for i in np.flatnonzero(ok):
-        xi = _cholesky_solve(a[i], b[i])
-        if xi is None:
-            ok[i] = False
-        else:
-            x[i] = xi
+        x[i] = xs[i]
     return x, ok

@@ -33,8 +33,7 @@ from .bell_dist import sample_counts
 # fit is no longer called here but stays bound: bench/tracer.py wraps the
 # binding of fit in each module that holds one, this one included.
 from .bell_glm import Dataset, fit, fit_many  # noqa: F401
-from .linalg import SingularMatrixError
-from .shrinkage import LinearRestriction, compute_all
+from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, estimate_many
 from .special_fn import lambert_w0
 
 __all__ = [
@@ -50,8 +49,7 @@ __all__ = [
     "write_table_csv",
 ]
 
-ESTIMATOR_ORDER = ("UN", "RE", "JSE", "PJSE", "PTE")
-_RATIO_ESTIMATORS = ("RE", "JSE", "PJSE", "PTE")
+_RATIO_ESTIMATORS = ESTIMATOR_ORDER[1:]
 _MAX_ATTEMPTS_PER_REP = 20
 _MAX_FAILURE_RATE = 0.05
 _DESIGN_STREAM = 0x5EED_DE51  # substream reserved for a shared fixed design
@@ -190,16 +188,38 @@ class _SimDraw:
             return generate_dataset(self.n_obs, self.p, self.true_beta, rng)
         return _dataset_for_design(self.fixed_X, self.true_beta, rng)
 
+    def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """The datasets of reps on one attempt as X (m, n, k) and y (m, n),
+        bit for bit those of self(rep, attempt): each substream draws its
+        covariates and then its counts, and theta comes from one Lambert W
+        call, which is element-wise."""
+        n, p = self.n_obs, self.p
+        rngs = [_substream(self.seed, n, p, self.tau, rep, attempt) for rep in reps]
+        X = np.empty((len(rngs), n, p + 1))
+        if self.fixed_X is None:
+            X[..., 0] = 1.0
+            eta = np.empty((len(rngs), n))
+            for x, e, rng in zip(X, eta, rngs):
+                x[:, 1:] = rng.standard_normal((n, p))
+                e[:] = x @ self.true_beta
+        else:
+            X[:] = self.fixed_X
+            eta = self.fixed_X @ self.true_beta
+        theta = np.broadcast_to(lambert_w0(np.exp(eta)), (len(rngs), n))
+        y = np.stack([sample_counts(t, rng) for t, rng in zip(theta, rngs)])
+        return X, y
+
 
 def _replicate(job) -> tuple[list[int], np.ndarray, int]:
     """Fit every replication in reps and compute its estimators.
 
-    job = (draw, reps, rest, alpha, budget).  draw(rep, attempt) gives the
-    dataset of that attempt.  Each attempt round draws every pending
-    replication, fits them in stacks of at most _STACK_ELEMENTS entries of
-    X, and leaves the failed ones (no convergence, singular fit or singular
-    projection) pending for attempt + 1.  The round stops early once the
-    failures exceed budget; the caller reports that.
+    job = (draw, reps, rest, alpha, budget).  draw.stack(reps, attempt)
+    gives the datasets of that attempt as arrays.  Each attempt round
+    draws, fits and estimates every pending replication in stacks of at
+    most _STACK_ELEMENTS entries of X, and leaves the failed ones (no
+    convergence, singular fit or singular projection) pending for
+    attempt + 1.  The round stops early once the failures exceed budget;
+    the caller reports that.
 
     Returns (reps, estimates, retries): estimates has shape
     (len(reps), 5, k) in ESTIMATOR_ORDER, NaN where r < 3 rules out the
@@ -209,30 +229,27 @@ def _replicate(job) -> tuple[list[int], np.ndarray, int]:
     k = rest.H.shape[1]
     est = np.full((len(reps), len(ESTIMATOR_ORDER), k), np.nan)
     cap = max(1, _STACK_ELEMENTS // (draw.n_obs * k))
-    pending = list(range(len(reps)))
+    pending = np.arange(len(reps))
     retries = 0
     for attempt in range(_MAX_ATTEMPTS_PER_REP):
         failed = []
         for start in range(0, len(pending), cap):
             rows = pending[start : start + cap]
-            stack = [draw(reps[row], attempt) for row in rows]
-            models = fit_many(np.stack([d.X for d in stack]), np.stack([d.y for d in stack]))
-            for row, model in zip(rows, models):
-                if model is None or not model.converged:
-                    failed.append(row)
-                    continue
-                try:
-                    est_set = compute_all(model, rest, alpha)
-                except (SingularMatrixError, np.linalg.LinAlgError):
-                    failed.append(row)
-                    continue
-                for i, name in enumerate(ESTIMATOR_ORDER):
-                    vec = getattr(est_set, name.lower())
-                    if vec is not None:
-                        est[row, i] = vec
-        retries += len(failed)
-        pending = failed
-        if not pending or retries > budget:
+            models = fit_many(*draw.stack([reps[row] for row in rows], attempt))
+            fitted = [i for i, model in enumerate(models) if model is not None and model.converged]
+            ok = np.zeros(len(rows), dtype=bool)
+            if fitted:
+                stack_est, _, ok[fitted] = estimate_many(
+                    np.stack([models[i].beta for i in fitted]),
+                    np.stack([models[i].fisher_info for i in fitted]),
+                    rest,
+                    alpha,
+                )
+                est[rows[fitted]] = stack_est
+            failed.append(rows[~ok])
+        pending = np.concatenate(failed)
+        retries += len(pending)
+        if not len(pending) or retries > budget:
             return list(reps), est, retries
     raise ConvergenceError(
         f"replication {reps[pending[0]]}{draw.where} failed "

@@ -15,6 +15,11 @@ critical value and b otherwise.  The James-Stein estimator moves from
 b_RE toward b by the data-driven factor 1 - (r-2)/f (requiring r >= 3),
 and its positive part clamps that factor at zero so the combination never
 overshoots past b_RE.
+
+`estimate_many` computes all five estimators for a stack of fits in one
+pass, and `compute_all` is its stack of one.  This module also decides
+which estimators exist: `ESTIMATOR_ORDER`, and r >= 3 for the James-Stein
+pair.
 """
 
 from __future__ import annotations
@@ -24,24 +29,34 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from . import bell_glm
-from .bell_glm import Dataset, FittedModel
-from .linalg import SingularMatrixError, spd_solve
+from .bell_glm import FittedModel
+from .linalg import SingularMatrixError, spd_solve_each
 
 __all__ = [
+    "ESTIMATOR_ORDER",
     "EstimatorSet",
     "LinearRestriction",
     "compute_all",
+    "estimate_many",
+    "estimator_names",
     "james_stein",
     "load_restriction",
-    "lr_statistic",
     "positive_james_stein",
     "pretest",
     "restricted",
     "test_statistic",
 ]
 
+ESTIMATOR_ORDER = ("UN", "RE", "JSE", "PJSE", "PTE")
 _MIN_JS_RESTRICTIONS = 3
+
+
+def estimator_names(r: int) -> tuple[str, ...]:
+    """The estimators defined under r restrictions, in ESTIMATOR_ORDER:
+    all five from r = 3 on, without the James-Stein pair below."""
+    if r >= _MIN_JS_RESTRICTIONS:
+        return ESTIMATOR_ORDER
+    return tuple(name for name in ESTIMATOR_ORDER if name not in ("JSE", "PJSE"))
 
 
 @dataclass(frozen=True)
@@ -120,48 +135,11 @@ class EstimatorSet:
     f_stat: float
 
 
-def _projection_pieces(model: FittedModel, rest: LinearRestriction):
-    H, h = rest.H, rest.h
-    if H.shape[1] != model.beta.size:
-        raise ValueError(
-            f"restriction has {H.shape[1]} columns but the model has {model.beta.size} parameters"
-        )
-    try:
-        finv_ht = spd_solve(model.fisher_info, H.T)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"information matrix is singular: {exc}") from exc
-    m = H @ finv_ht
-    gap = H @ model.beta - h
-    try:
-        m_inv_gap = spd_solve(m, gap)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"H F^-1 H' is singular; restriction may be rank-deficient under this fit: {exc}"
-        ) from exc
-    return finv_ht, gap, m_inv_gap
-
-
-def restricted(model: FittedModel, rest: LinearRestriction) -> np.ndarray:
-    """Project the unrestricted fit onto the restriction in the F metric."""
-    finv_ht, _, m_inv_gap = _projection_pieces(model, rest)
-    return model.beta - finv_ht @ m_inv_gap
-
-
-def test_statistic(model: FittedModel, rest: LinearRestriction) -> float:
-    """Wald statistic for H beta = h; asymptotically chi-square(r) under it."""
-    _, gap, m_inv_gap = _projection_pieces(model, rest)
-    return max(0.0, float(gap @ m_inv_gap))
-
-
-def lr_statistic(model: FittedModel, data: Dataset, rest: LinearRestriction) -> float:
-    """Likelihood-ratio form 2*[loglik(un) - loglik(re)], diagnostic only.
-
-    The restricted point is the information-metric projection rather than
-    a constrained maximizer, so this tracks (and under the restriction,
-    asymptotically matches) the Wald statistic without replacing it.
-    """
-    re = restricted(model, rest)
-    return 2.0 * (model.loglik - bell_glm.loglik(re, data))
+def _critical_value(alpha: float, r: int) -> float:
+    """The chi-square(r) upper-alpha critical value of the pretest."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return float(chi2.ppf(1.0 - alpha, r))
 
 
 def pretest(
@@ -170,10 +148,7 @@ def pretest(
     """re when f_stat < chi-square(r) upper-alpha critical value, else un.
 
     Ties at the critical value keep the unrestricted estimator."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    crit = float(chi2.ppf(1.0 - alpha, r))
-    return re.copy() if f_stat < crit else un.copy()
+    return re.copy() if f_stat < _critical_value(alpha, r) else un.copy()
 
 
 def _check_js_args(f_stat: float, r: int) -> None:
@@ -209,24 +184,82 @@ def positive_james_stein(un: np.ndarray, re: np.ndarray, f_stat: float, r: int) 
     return re + factor * (un - re)
 
 
-def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05) -> EstimatorSet:
-    """All five estimators in one pass; jse/pjse are None when r < 3,
-    and an exactly-satisfied restriction (f_stat = 0) short-circuits both
-    to the restricted estimator."""
-    finv_ht, gap, m_inv_gap = _projection_pieces(model, rest)
-    un = model.beta.copy()
-    re = model.beta - finv_ht @ m_inv_gap
-    f_stat = max(0.0, float(gap @ m_inv_gap))
+def estimate_many(
+    beta: np.ndarray, fisher: np.ndarray, rest: LinearRestriction, alpha: float = 0.05
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All five estimators for a stack of fits: beta (m, k), fisher (m, k, k).
+
+    Returns (est, f_stat, ok): est (m, 5, k) in ESTIMATOR_ORDER, the Wald
+    statistics (m,), and ok (m,), False for a member whose information
+    matrix or H F^-1 H' fails the solve; its rows are NaN.  JSE and PJSE
+    are NaN when r < 3.  An exactly-satisfied restriction (f_stat = 0)
+    makes both the restricted estimator, and a tie at the pretest's
+    critical value keeps UN.  Each member's values are bit for bit those
+    of `compute_all` on it alone.
+    """
+    H, h = rest.H, rest.h
+    beta = np.asarray(beta, dtype=float)
+    m, k = beta.shape
+    if H.shape[1] != k:
+        raise ValueError(
+            f"restriction has {H.shape[1]} columns but the model has {k} parameters"
+        )
     r = rest.n_restrictions
-    pte = pretest(un, re, f_stat, r, alpha)
+    crit = _critical_value(alpha, r)
+    # F^-1 H' and (H F^-1 H')^-1 (H b - h), each member with the operations
+    # and memory layouts of a lone fit, so its bits do not depend on the stack
+    finv_ht = spd_solve_each(np.asarray(fisher, dtype=float), np.broadcast_to(H.T, (m, k, r)))
+    proj = np.full((m, r, r), np.nan)
+    gap = np.full((m, r), np.nan)
+    for i, x in enumerate(finv_ht):
+        if x is not None:
+            proj[i] = H @ x
+            gap[i] = H @ beta[i] - h
+    re = np.full((m, k), np.nan)
+    f_stat = np.full(m, np.nan)
+    ok = np.zeros(m, dtype=bool)
+    for i, y in enumerate(spd_solve_each(proj, gap)):
+        if y is not None:
+            re[i] = beta[i] - finv_ht[i] @ y
+            f_stat[i] = max(0.0, float(gap[i] @ y))
+            ok[i] = True
+    un = np.where(ok[:, None], beta, np.nan)
+    pte = np.where((f_stat < crit)[:, None], re, un)
     if r >= _MIN_JS_RESTRICTIONS:
-        if f_stat == 0.0:
-            jse = re.copy()
-            pjse = re.copy()
-        else:
-            jse = james_stein(un, re, f_stat, r)
-            pjse = positive_james_stein(un, re, f_stat, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = 1.0 - (r - 2.0) / f_stat
+            jse = re + factor[:, None] * (un - re)
+        exact = (f_stat == 0.0)[:, None]
+        pjse = np.where(exact | (factor <= 0.0)[:, None], re, jse)
+        jse = np.where(exact, re, jse)
     else:
-        jse = None
-        pjse = None
-    return EstimatorSet(un=un, re=re, pte=pte, jse=jse, pjse=pjse, f_stat=f_stat)
+        jse = pjse = np.full_like(re, np.nan)
+    return np.stack([un, re, jse, pjse, pte], axis=1), f_stat, ok
+
+
+def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05) -> EstimatorSet:
+    """All five estimators of one fit: `estimate_many` on a stack of one.
+
+    jse/pjse are None when r < 3, and an exactly-satisfied restriction
+    (f_stat = 0) short-circuits both to the restricted estimator.  Raises
+    SingularMatrixError where `estimate_many` flags the member."""
+    est, f_stat, ok = estimate_many(model.beta[None], model.fisher_info[None], rest, alpha)
+    if not ok[0]:
+        raise SingularMatrixError(
+            "information matrix or H F^-1 H' is singular; the restriction may be "
+            "rank-deficient under this fit"
+        )
+    un, re, jse, pjse, pte = est[0]
+    if rest.n_restrictions < _MIN_JS_RESTRICTIONS:
+        jse = pjse = None
+    return EstimatorSet(un=un, re=re, pte=pte, jse=jse, pjse=pjse, f_stat=float(f_stat[0]))
+
+
+def restricted(model: FittedModel, rest: LinearRestriction) -> np.ndarray:
+    """Project the unrestricted fit onto the restriction in the F metric."""
+    return compute_all(model, rest).re
+
+
+def test_statistic(model: FittedModel, rest: LinearRestriction) -> float:
+    """Wald statistic for H beta = h; asymptotically chi-square(r) under it."""
+    return compute_all(model, rest).f_stat

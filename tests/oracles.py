@@ -1,10 +1,12 @@
-"""Independent reference implementations used to check the package numerics.
+"""Reference implementations and test-only helpers for checking the package.
 
-Everything here is deliberately written with a different algorithm than the
-library code it checks: constrained estimation via an explicit KKT system,
-inverse moments via adaptive quadrature, the limiting-distribution
-moments via brute-force normal sampling, and CSV ingestion via
-`csv.DictReader` and one `float()` per cell.
+The numerical references are deliberately written with a different
+algorithm than the library code they check: constrained estimation via an
+explicit KKT system, inverse moments via adaptive quadrature, the
+limiting-distribution moments via brute-force normal sampling, CSV
+ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
+by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
+compositions of package functions that only the tests use.
 """
 import csv
 
@@ -206,3 +208,47 @@ def load_dataset_rowwise(path, response_column, covariate_columns):
         overdispersion=var / mean if mean > 0 else float("nan"),
     )
     return data, summary
+
+
+def inversion_sample(param, rng, size):
+    """Reference Bell sampler: invert the cumulative pmf by table lookup.
+
+    The table is extended until the uncovered tail mass is below 1e-12,
+    so it is exact for practical purposes but linear in the support it
+    has to walk.
+    """
+    from bellshrink.bell_dist import pmf
+
+    probs = [float(pmf(0, param))]
+    total = probs[0]
+    y = 0
+    while total < 1.0 - 1e-12:
+        y += 1
+        probs.append(float(pmf(y, param)))
+        total += probs[-1]
+        if y > 100_000_000:
+            raise RuntimeError("pmf table failed to accumulate mass")
+    cum = np.cumsum(probs)
+    u = rng.random(int(size))
+    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+
+def quad_form(v, a):
+    """v' a**-1 v for SPD a; nonnegative up to roundoff."""
+    from bellshrink.linalg import spd_solve
+
+    v = np.asarray(v, dtype=float)
+    return float(v @ spd_solve(a, v))
+
+
+def lr_statistic(model, data, rest):
+    """Likelihood-ratio form 2*[loglik(un) - loglik(re)] of the restriction.
+
+    The restricted point is the information-metric projection rather than
+    a constrained maximizer, so this tracks (and under the restriction,
+    asymptotically matches) the Wald statistic without replacing it.
+    """
+    from bellshrink.bell_glm import loglik
+    from bellshrink.shrinkage import restricted
+
+    return 2.0 * (model.loglik - loglik(restricted(model, rest), data))

@@ -10,6 +10,7 @@ import bellshrink.montecarlo as mc
 from bellshrink.application import (
     BootstrapConfig,
     DataFormatError,
+    _ResampleDraw,
     bootstrap_bre,
     load_dataset,
     model_comparison,
@@ -206,10 +207,17 @@ def test_load_dataset_file_errors_match_rowwise_oracle(tmp_path, text, columns):
 
 @pytest.mark.parametrize("cell", ["1_0", "\u0661"])
 def test_load_dataset_rejects_float_spellings_outside_numpy_syntax(tmp_path, cell):
-    # float() reads `1_0` as 10 and the Arabic-Indic digit as 1; numpy does not.
-    path = write_csv(tmp_path, f"y,x\n3,1.0\n2,{cell}\n1,2.0\n0,0.5\n")
-    with pytest.raises(DataFormatError, match=f"^{path}: .*{cell}"):
-        load_dataset(path, "y", ["x"])
+    # float() reads `1_0` as 10 and the Arabic-Indic digit as 1; numpy does
+    # not, and the error names the file line of the cell, blank lines counted.
+    for blank_lines in (0, 2):
+        text = "y,x\n3,1.0\n" + "\n" * blank_lines + f"2,{cell}\n1,2.0\n0,0.5\n"
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DataFormatError, match=f"^{path}:{3 + blank_lines}: .*{cell}"):
+            load_dataset(path, "y", ["x"])
+        # the same spelling in the response column
+        path = write_csv(tmp_path, text.replace(f"2,{cell}", f"{cell},2.0"))
+        with pytest.raises(DataFormatError, match=f"^{path}:{3 + blank_lines}: response .*{cell}"):
+            load_dataset(path, "y", ["x"])
 
 
 def test_load_dataset_rejects_counts_beyond_int64(tmp_path):
@@ -225,6 +233,21 @@ def test_load_dataset_duplicate_header_uses_last_column(tmp_path):
 
 
 # ------------------------------------------------------------------ bootstrap
+
+
+@pytest.mark.parametrize("with_replacement", [True, False])
+def test_stacked_resample_equals_per_replication_resample(with_replacement):
+    data = synthetic_restricted_data(60, np.array([0.3, 0.0, 0.4]), SEED)
+    n_obs = 40 if with_replacement else 60
+    draw = _ResampleDraw(data.X, data.y, SEED, n_obs, with_replacement)
+    reps = [5, 1, 12, 0]
+    for attempt in (0, 3):
+        X, y = draw.stack(reps, attempt)
+        assert X.shape == (len(reps), n_obs, 3) and y.shape == (len(reps), n_obs)
+        for i, rep in enumerate(reps):
+            one = draw(rep, attempt)
+            np.testing.assert_array_equal(X[i], one.X)
+            np.testing.assert_array_equal(y[i], one.y)
 
 
 def test_bootstrap_bre_with_true_zero_restrictions():

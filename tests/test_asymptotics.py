@@ -276,7 +276,7 @@ def test_shrinkage_bias_describes_fitted_estimators():
     from bellshrink.bell_dist import sample_counts
     from bellshrink.bell_glm import Dataset, fisher_information, fit_many
     from bellshrink.montecarlo import build_restriction
-    from bellshrink.shrinkage import compute_all
+    from bellshrink.shrinkage import ESTIMATOR_ORDER, estimate_many
     from bellshrink.special_fn import lambert_w0
 
     n, p = 2000, 3
@@ -299,12 +299,18 @@ def test_shrinkage_bias_describes_fitted_estimators():
     theory = asymptotic_bias("JSE", la)
 
     errors = np.empty((reps, p + 1))
-    stack = 25  # fits of a stack equal their one-by-one fits bit for bit
+    jse, un = ESTIMATOR_ORDER.index("JSE"), ESTIMATOR_ORDER.index("UN")
+    stack = 25  # fits and estimators of a stack equal their one-by-one values bit for bit
     for start in range(0, reps, stack):
         ys = np.stack([sample_counts(theta, rng) for _ in range(stack)])
-        for i, model in enumerate(fit_many(np.broadcast_to(X, (stack, n, p + 1)), ys)):
-            est = compute_all(model, rest)
-            errors[start + i] = est.jse - est.un
+        models = fit_many(np.broadcast_to(X, (stack, n, p + 1)), ys)
+        est, _, ok = estimate_many(
+            np.stack([model.beta for model in models]),
+            np.stack([model.fisher_info for model in models]),
+            rest,
+        )
+        assert ok.all()
+        errors[start : start + stack] = est[:, jse] - est[:, un]
     scaled = np.sqrt(n) * errors
     mc_mean = scaled.mean(axis=0)
     mc_se = scaled.std(axis=0, ddof=1) / np.sqrt(reps)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bellshrink.bell_dist import (
     BellParam,
-    inversion_sample,
     log_pmf,
     moments,
     pmf,
@@ -16,7 +15,7 @@ from bellshrink.bell_dist import (
     sample_counts,
 )
 from bellshrink.special_fn import lambert_w0
-from oracles import pooled_gof
+from oracles import inversion_sample, pooled_gof
 
 SEED = 61409
 

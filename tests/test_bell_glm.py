@@ -12,6 +12,7 @@ from bellshrink.bell_glm import (
     Dataset,
     FittedModel,
     _bell_constant,
+    _bell_constants,
     aic,
     fisher_information,
     fit,
@@ -55,6 +56,20 @@ def test_bell_constant_equals_per_value_sum_bitwise(y):
     lb = np.array([log_bell(int(v)) for v in vals])
     assert _bell_constant(y) == float(np.sum(counts * (lb - gammaln(vals + 1.0))))
     np.testing.assert_array_equal(log_bell_many(vals), lb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=700), min_size=12, max_size=12),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_bell_constants_of_a_stack_equal_each_row_alone(rows):
+    # one table of Bell logs for the stack; each row sums its own terms
+    Y = np.array(rows, dtype=np.int64)
+    np.testing.assert_array_equal(_bell_constants(Y), [_bell_constant(y) for y in Y])
 
 
 def test_log_bell_many_rejects_negative_or_fractional_input():

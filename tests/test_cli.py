@@ -212,6 +212,9 @@ def test_simulate_rejects_unknown_config_key(tmp_path):
         "n = 50\np = 3\ntau = 0.1234561, 0.1234564\nreplications = 2\n",
         # the second design is invalid; the first must not run
         "n = 50\np = 3, 2\ntau = 0\nreplications = 2\n",
+        # a repeated design would run twice on the same streams
+        "n = 50, 50\np = 3\ntau = 0\nreplications = 2\n",
+        "n = 50\np = 3, 6, 3\ntau = 0\nreplications = 2\n",
     ],
 )
 def test_simulate_rejects_invalid_design_before_running(tmp_path, text):

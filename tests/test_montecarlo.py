@@ -78,6 +78,28 @@ def test_generate_dataset_deterministic():
     np.testing.assert_array_equal(a.y, b.y)
 
 
+@pytest.mark.parametrize("fixed_design", [False, True])
+def test_stacked_draw_equals_per_replication_draw_bitwise(fixed_design):
+    # one Lambert W call per stack and rows written in place give the bits
+    # of each replication's own draw; n * k is odd, so rows of the stack
+    # start at 8-byte but not 16-byte boundaries
+    cfg = small_config(n=51, p=4, fixed_design=fixed_design)
+    fixed_X = None
+    if fixed_design:
+        rng = np.random.default_rng(SEED)
+        fixed_X = np.column_stack([np.ones(cfg.n), rng.standard_normal((cfg.n, cfg.p))])
+    draw = mc._SimDraw(cfg.seed, cfg.n, cfg.p, 0.5, cfg.true_beta, fixed_X)
+    reps = [4, 0, 17, 3, 9]
+    for attempt in (0, 2):
+        X, y = draw.stack(reps, attempt)
+        assert X.shape == (len(reps), cfg.n, cfg.p + 1) and y.shape == (len(reps), cfg.n)
+        for i, rep in enumerate(reps):
+            one = draw(rep, attempt)
+            np.testing.assert_array_equal(X[i], one.X)
+            np.testing.assert_array_equal(y[i], one.y)
+            assert y[i].dtype == one.y.dtype
+
+
 # ------------------------------------------------------------ simulation core
 
 

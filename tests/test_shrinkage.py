@@ -5,20 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from bellshrink import shrinkage
 from bellshrink.bell_glm import FittedModel, fit
+from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.shrinkage import (
+    ESTIMATOR_ORDER,
     LinearRestriction,
     compute_all,
+    estimate_many,
     james_stein,
     load_restriction,
-    lr_statistic,
     positive_james_stein,
     pretest,
     restricted,
 )
 from bellshrink.shrinkage import test_statistic as wald_statistic
 from conftest import simulate_dataset
-from oracles import kkt_restricted
+from oracles import kkt_restricted, lr_statistic
 
 SEED = 445566
 
@@ -225,6 +228,129 @@ def test_compute_all_exact_satisfaction_short_circuits():
     np.testing.assert_allclose(est.jse, est.re, atol=0)
     np.testing.assert_allclose(est.pjse, est.re, atol=0)
     np.testing.assert_allclose(est.pte, est.re, atol=0)
+
+
+def per_member_estimators(model, rest, alpha):
+    """The five estimators of one fit from the scalar building blocks, one
+    spd_solve at a time; NaN rows where r < 3 rules out JSE and PJSE."""
+    H, h = rest.H, rest.h
+    r = rest.n_restrictions
+    finv_ht = spd_solve(model.fisher_info, H.T)
+    gap = H @ model.beta - h
+    m_inv_gap = spd_solve(H @ finv_ht, gap)
+    un = model.beta.copy()
+    re = model.beta - finv_ht @ m_inv_gap
+    f_stat = max(0.0, float(gap @ m_inv_gap))
+    jse = pjse = np.full_like(un, np.nan)
+    if r >= 3:
+        jse = pjse = re
+        if f_stat > 0.0:
+            jse = james_stein(un, re, f_stat, r)
+            pjse = positive_james_stein(un, re, f_stat, r)
+    return np.stack([un, re, jse, pjse, pretest(un, re, f_stat, r, alpha)]), f_stat
+
+
+def assert_stack_matches_members(models, rest, alpha=0.05):
+    est, f_stat, ok = estimate_many(
+        np.stack([m.beta for m in models]), np.stack([m.fisher_info for m in models]), rest, alpha
+    )
+    assert est.shape == (len(models), len(ESTIMATOR_ORDER), rest.H.shape[1])
+    for i, model in enumerate(models):
+        try:
+            want, want_f = per_member_estimators(model, rest, alpha)
+        except SingularMatrixError:
+            assert not ok[i]
+            assert np.all(np.isnan(est[i])) and np.isnan(f_stat[i])
+            with pytest.raises(SingularMatrixError):
+                compute_all(model, rest, alpha)
+            continue
+        assert ok[i]
+        np.testing.assert_array_equal(est[i], want)
+        assert f_stat[i] == want_f
+        one = compute_all(model, rest, alpha)
+        assert one.f_stat == want_f
+        for j, name in enumerate(ESTIMATOR_ORDER):
+            vec = getattr(one, name.lower())
+            if vec is None:
+                assert rest.n_restrictions < 3 and np.all(np.isnan(want[j]))
+            else:
+                np.testing.assert_array_equal(vec, want[j])
+    return ok
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_estimate_many_equals_per_member_estimators_bitwise(r):
+    rng = np.random.default_rng(SEED + 20 + r)
+    k = 6
+    rest = LinearRestriction(H=rng.standard_normal((r, k)), h=rng.standard_normal(r))
+    exact = np.linalg.lstsq(rest.H, rest.h, rcond=None)[0]
+    models = []
+    for scale in (0.0, 0.01, 0.1, 0.3, 1.0, 3.0) * 5:
+        model, _ = random_problem(k, r, rng)
+        models.append(synthetic_model(exact + scale * model.beta, model.fisher_info))
+    assert assert_stack_matches_members(models, rest).all()
+    # the stack holds members on both sides of the pretest's critical value
+    # and, for r >= 3, of the positive-part clamp at f_stat = r - 2
+    f_stat = estimate_many(
+        np.stack([m.beta for m in models]), np.stack([m.fisher_info for m in models]), rest
+    )[1]
+    crit = chi2.ppf(0.95, r)
+    assert (f_stat < crit).any() and (f_stat >= crit).any()
+    assert (f_stat <= max(r - 2, 0)).any() or r < 3
+
+
+def test_estimate_many_short_circuits_exact_restriction():
+    rng = np.random.default_rng(SEED + 30)
+    model, _ = random_problem(6, 3, rng)
+    H = rng.standard_normal((3, 6))
+    rest = LinearRestriction(H=H, h=H @ model.beta)
+    est, f_stat, ok = estimate_many(model.beta[None], model.fisher_info[None], rest)
+    assert ok[0] and f_stat[0] == 0.0
+    for name in ("JSE", "PJSE", "PTE"):
+        np.testing.assert_array_equal(est[0, ESTIMATOR_ORDER.index(name)], est[0, 1])
+    assert_stack_matches_members([model, model], rest)
+
+
+def test_estimate_many_pretest_tie_keeps_unrestricted(monkeypatch):
+    rng = np.random.default_rng(SEED + 33)
+    models = [random_problem(5, 3, rng)[0] for _ in range(3)]
+    rest = LinearRestriction(H=rng.standard_normal((3, 5)), h=rng.standard_normal(3))
+    beta = np.stack([m.beta for m in models])
+    fisher = np.stack([m.fisher_info for m in models])
+    f_stat = estimate_many(beta, fisher, rest)[1]
+    tie = float(np.median(f_stat))
+    monkeypatch.setattr(shrinkage, "_critical_value", lambda alpha, r: tie)
+    est = estimate_many(beta, fisher, rest)[0]
+    pte = ESTIMATOR_ORDER.index("PTE")
+    for i in range(3):
+        pick = ESTIMATOR_ORDER.index("RE" if f_stat[i] < tie else "UN")
+        np.testing.assert_array_equal(est[i, pte], est[i, pick])
+    assert (f_stat == tie).sum() == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_estimate_many_flags_singular_members_without_failing_neighbours():
+    rng = np.random.default_rng(SEED + 31)
+    k, r = 5, 3
+    rest = LinearRestriction(H=np.eye(k)[:r], h=np.zeros(r))
+    good = [random_problem(k, r, rng)[0] for _ in range(4)]
+    # F^-1 H' overflows, so H F^-1 H' is not finite: the second solve fails
+    tiny = np.diag([1e-310, 1.0, 1.0, 1.0, 1.0])
+    bad_projection = synthetic_model(good[0].beta, tiny)
+    # an indefinite information matrix fails the first solve
+    bad_information = synthetic_model(good[1].beta, -np.eye(k))
+    models = [good[0], bad_projection, good[1], good[2], bad_information, good[3]]
+    ok = assert_stack_matches_members(models, rest)
+    np.testing.assert_array_equal(ok, [True, False, True, True, False, True])
+
+
+def test_estimate_many_checks_alpha_and_shape():
+    rng = np.random.default_rng(SEED + 32)
+    model, rest = random_problem(5, 3, rng)
+    with pytest.raises(ValueError):
+        estimate_many(model.beta[None], model.fisher_info[None], rest, alpha=1.0)
+    with pytest.raises(ValueError):
+        estimate_many(model.beta[None, :4], model.fisher_info[None, :4, :4], rest)
 
 
 def test_estimators_agree_under_true_restriction_at_large_n():
