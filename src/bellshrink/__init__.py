@@ -1,7 +1,7 @@
 """Bell regression for overdispersed counts, with restricted, pretest, and
 James-Stein shrinkage estimation plus their asymptotic risk theory."""
 
-from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias, limiting_moments
+from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from .bell_dist import BellParam
 from .bell_glm import Dataset, FittedModel, aic, fit, loglik
 from .shrinkage import (
@@ -35,7 +35,6 @@ __all__ = [
     "fit",
     "inv_moment",
     "lambert_w0",
-    "limiting_moments",
     "loglik",
     "load_restriction",
     "log_bell",

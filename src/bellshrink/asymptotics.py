@@ -34,17 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .linalg import spd_inverse, spd_solve
-from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction
+from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction, _critical_value
 
 __all__ = [
-    "LimitMoments",
     "LocalAlternative",
     "asymptotic_amse",
     "asymptotic_bias",
-    "limiting_moments",
 ]
 
 from .special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf, truncated_inv_moment
@@ -96,32 +93,6 @@ class LocalAlternative:
         return self.fisher.shape[0]
 
 
-@dataclass(frozen=True)
-class LimitMoments:
-    """Means and 3x3 covariance blocks of (Z1, Z2, Z3): the limiting scaled
-    errors of the unrestricted fit, its projection residual, and the
-    projection component itself."""
-
-    means: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cov_blocks: np.ndarray  # shape (3, 3, k, k)
-
-
-def limiting_moments(la: LocalAlternative) -> LimitMoments:
-    """Joint Gaussian limit of (Z1, Z2, Z3); Z2 and Z3 are uncorrelated and
-    their covariances split F**-1 into (F**-1 - kappa0) + kappa0."""
-    k = la.n_params
-    kg = la.kappa @ la.gamma
-    means = (np.zeros(k), -kg, kg.copy())
-    blocks = np.zeros((3, 3, k, k))
-    blocks[0, 0] = la.f_inv
-    blocks[1, 1] = la.f_inv - la.kappa0
-    blocks[2, 2] = la.kappa0
-    blocks[0, 1] = blocks[1, 0] = la.f_inv - la.kappa0
-    blocks[0, 2] = blocks[2, 0] = la.kappa0
-    # blocks[1, 2] and blocks[2, 1] stay zero: the split is orthogonal.
-    return LimitMoments(means=means, cov_blocks=blocks)
-
-
 def _require(estimator: str, allowed: tuple[str, ...]) -> str:
     est = str(estimator).upper()
     if est not in allowed:
@@ -134,14 +105,6 @@ def _js_pieces(la: LocalAlternative):
     if r < _MIN_JS_RESTRICTIONS:
         raise ValueError(f"James-Stein asymptotics need r >= 3 restrictions, got r={r}")
     return r - 2.0, NoncentralChiSq(r + 2, la.delta), NoncentralChiSq(r + 4, la.delta)
-
-
-def _pte_cutoff(r: int, alpha) -> float:
-    if alpha is None:
-        raise ValueError("the pretest estimator needs a test level alpha")
-    if not 0.0 < float(alpha) < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(chi2.ppf(1.0 - float(alpha), r))
 
 
 def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
@@ -157,7 +120,7 @@ def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
     if est == "RE":
         return -kg
     if est == "PTE":
-        cutoff = _pte_cutoff(la.n_restrictions, alpha)
+        cutoff = _critical_value(alpha, la.n_restrictions)
         return -kg * noncentral_chisq_cdf(cutoff, NoncentralChiSq(la.n_restrictions + 2, la.delta))
     c, d2, _ = _js_pieces(la)
     jse = -c * inv_moment(d2) * kg
@@ -183,8 +146,8 @@ def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
     if est == "RE":
         return finv - la.kappa0 + drift
     if est == "PTE":
-        cutoff = _pte_cutoff(la.n_restrictions, alpha)
         r = la.n_restrictions
+        cutoff = _critical_value(alpha, r)
         p2 = noncentral_chisq_cdf(cutoff, NoncentralChiSq(r + 2, la.delta))
         p4 = noncentral_chisq_cdf(cutoff, NoncentralChiSq(r + 4, la.delta))
         return finv - la.kappa0 * p2 + drift * (2.0 * p2 - p4)

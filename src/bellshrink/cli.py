@@ -10,6 +10,7 @@ to stderr, followed by any longer detail.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -56,9 +57,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if all(math.isfinite(v) for v in vals):
+            return vals
     except ValueError:
-        raise UsageError(f"{what} must be a comma-separated list of numbers, got {text!r}") from None
+        pass
+    raise UsageError(f"{what} must be a comma-separated list of finite numbers, got {text!r}")
+
+
+def _alpha(text: str) -> float:
+    """Type of every --alpha flag: a pretest level in (0, 1)."""
+    try:
+        alpha = float(text)
+        if 0.0 < alpha < 1.0:
+            return alpha
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
 def _build_parser() -> _Parser:
@@ -80,14 +95,14 @@ def _build_parser() -> _Parser:
     p_est = sub.add_parser("estimate", help="compute the full estimator suite")
     add_data_flags(p_est)
     p_est.add_argument("--restriction", required=True, help="restriction file (H | h rows)")
-    p_est.add_argument("--alpha", type=float, default=0.05, help="pretest level (default 0.05)")
+    p_est.add_argument("--alpha", type=_alpha, default=0.05, help="pretest level (default 0.05)")
     p_est.add_argument("--out", help="write estimator table CSV here")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_th = sub.add_parser("theory", help="asymptotic bias and AMSE-trace curves")
     p_th.add_argument("--restriction", required=True, help="restriction file; h entries ignored")
     p_th.add_argument("--fisher", help="CSV of the k x k information limit (default identity)")
-    p_th.add_argument("--alpha", type=float, default=0.05, help="pretest level (default 0.05)")
+    p_th.add_argument("--alpha", type=_alpha, default=0.05, help="pretest level (default 0.05)")
     p_th.add_argument("--gamma", help="drift vector, comma-separated (scalar broadcasts)")
     p_th.add_argument("--delta-grid", dest="delta_grid", help="comma-separated noncentralities")
     p_th.add_argument("--direction", help="drift direction for --delta-grid (default first axis)")
@@ -104,7 +119,7 @@ def _build_parser() -> _Parser:
     p_boot = sub.add_parser("bootstrap", help="bootstrap relative efficiencies")
     add_data_flags(p_boot)
     p_boot.add_argument("--restriction", required=True, help="restriction file (H | h rows)")
-    p_boot.add_argument("--alpha", type=float, default=0.05, help="pretest level (default 0.05)")
+    p_boot.add_argument("--alpha", type=_alpha, default=0.05, help="pretest level (default 0.05)")
     p_boot.add_argument("--resample-size", dest="resample_size", type=int, default=40)
     p_boot.add_argument("--replications", type=int, default=1000)
     p_boot.add_argument("--seed", type=int, default=_DEFAULT_SEED)
@@ -165,16 +180,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _estimator_table(est_set):
-    rows = []
-    for est in ESTIMATOR_ORDER:
-        vec = getattr(est_set, est.lower())
-        if vec is None:
-            continue
-        rows.append((est, vec))
-    return rows
-
-
 def _cmd_estimate(args) -> int:
     data, summary = _load(args)
     rest = load_restriction(args.restriction)
@@ -185,13 +190,14 @@ def _cmd_estimate(args) -> int:
     r = rest.n_restrictions
     p_value = float(chi2.sf(est_set.f_stat, r))
     names = _coef_names(summary)
-    rows = _estimator_table(est_set)
+    ests = estimator_names(r)
+    rows = [(est, getattr(est_set, est.lower())) for est in ests]
     _print_table(
         ["estimator", *names],
         [[est, *(_fmt(v) for v in vec)] for est, vec in rows],
     )
     print(f"F_n = {_fmt(est_set.f_stat)} on {r} restriction(s), p-value = {_fmt(p_value)}")
-    if r < 3:
+    if len(ests) < len(ESTIMATOR_ORDER):
         print("note: James-Stein estimators need at least 3 restrictions; skipped")
     if args.out:
         lines = ["estimator,coefficient,estimate,f_stat,p_value"]
@@ -365,6 +371,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_bootstrap(args) -> int:
     data, summary = _load(args)
     rest = load_restriction(args.restriction)
+    try:
+        cfg = BootstrapConfig(
+            restriction=rest,
+            resample_size=args.resample_size,
+            replications=args.replications,
+            alpha=args.alpha,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     print(
         f"n = {summary.n_rows} rows; overdispersion ratio {summary.overdispersion:.6g}"
     )
@@ -373,13 +389,6 @@ def _cmd_bootstrap(args) -> int:
         f"AIC full = {_fmt(comparison['aic_full'])}, "
         f"restricted = {_fmt(comparison['aic_restricted'])}; "
         f"F_n = {_fmt(comparison['f_stat'])}"
-    )
-    cfg = BootstrapConfig(
-        restriction=rest,
-        resample_size=args.resample_size,
-        replications=args.replications,
-        alpha=args.alpha,
-        seed=args.seed,
     )
     report = bootstrap_bre(data, cfg, coef_names=_coef_names(summary))
     _print_table(

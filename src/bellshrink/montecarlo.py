@@ -33,7 +33,7 @@ from .bell_dist import sample_counts
 # fit is no longer called here but stays bound: bench/tracer.py wraps the
 # binding of fit in each module that holds one, this one included.
 from .bell_glm import Dataset, fit, fit_many  # noqa: F401
-from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, estimate_many
+from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction, estimate_many
 from .special_fn import lambert_w0
 
 __all__ = [
@@ -76,8 +76,11 @@ class SimConfig:
     fixed_design: bool = False
 
     def __post_init__(self):
-        if self.p < 3:
-            raise ValueError(f"need p >= 3 so the restriction count supports JSE, got p={self.p}")
+        if self.p < _MIN_JS_RESTRICTIONS:
+            raise ValueError(
+                f"need p >= {_MIN_JS_RESTRICTIONS} so the restriction count supports JSE, "
+                f"got p={self.p}"
+            )
         if self.n <= self.p + 1:
             raise ValueError(f"need n > p + 1, got n={self.n}, p={self.p}")
         if self.replications < 1:
@@ -129,8 +132,8 @@ class SimResult:
 
 def build_restriction(p: int, tau: float) -> LinearRestriction:
     """The p x (p+1) restriction: intercept = tau, adjacent slopes equal."""
-    if p < 3:
-        raise ValueError(f"build_restriction needs p >= 3, got {p}")
+    if p < _MIN_JS_RESTRICTIONS:
+        raise ValueError(f"build_restriction needs p >= {_MIN_JS_RESTRICTIONS}, got {p}")
     H = np.zeros((p, p + 1))
     H[0, 0] = 1.0
     for i in range(1, p):

@@ -137,6 +137,8 @@ class EstimatorSet:
 
 def _critical_value(alpha: float, r: int) -> float:
     """The chi-square(r) upper-alpha critical value of the pretest."""
+    if alpha is None:
+        raise ValueError("the pretest estimator needs a test level alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     return float(chi2.ppf(1.0 - alpha, r))

@@ -16,8 +16,14 @@ mixture representation
     X ~ chi2(dof + 2 J),  J ~ Poisson(noncentrality / 2),
 
 summing the mixture terms over one window around the modal Poisson index
-that holds all but 1e-12 of the Poisson mass.  Each central-component
-integral reduces to a regularized incomplete gamma function.
+that holds all but 1e-12 of the Poisson mass.  One private routine does
+that sum for all three: with m = dof + 2j and order k in {0, 1, 2}, it adds
+
+    w_j * P(chi2_{m - 2k} <= c) / prod_{i=1..k} (m - 2i),
+
+where c is the argument of the cdf (k = 0), the cutoff of a truncated
+moment, or infinity for a plain moment, whose terms need no incomplete
+gamma.  Each public function checks its own arguments and calls it once.
 """
 
 from __future__ import annotations
@@ -223,15 +229,36 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_order(dist: NoncentralChiSq, order: int, name: str) -> None:
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    least = 3 if order == 1 else 5
+    if dist.dof < least:
+        raise ValueError(f"{name} of order {order} needs dof >= {least}, got {dist.dof}")
+
+
+def _mixture_sum(dist: NoncentralChiSq, order: int, cutoff: float = math.inf) -> float:
+    """sum_j w_j P(chi2_{m - 2 order} <= cutoff) / prod_{i=1..order} (m - 2i)
+    over the Poisson window of `dist`, with m = dof + 2j.
+
+    An infinite cutoff skips the incomplete gamma, whose value there is 1.
+    """
+    js, ws = _poisson_weights(dist.noncentrality / 2.0)
+    m = dist.dof + 2.0 * js
+    terms = ws if cutoff == math.inf else ws * gammainc((m - 2.0 * order) / 2.0, cutoff / 2.0)
+    denom = 1.0
+    for i in range(1, order + 1):
+        denom = denom * (m - 2.0 * i)
+    return float(np.sum(terms / denom))
+
+
 def noncentral_chisq_cdf(x: float, dist: NoncentralChiSq) -> float:
     """P(X <= x) for X ~ NoncentralChiSq, via the Poisson mixture of
     regularized incomplete gamma terms.  Monotone in x and in -noncentrality.
     """
     if x <= 0.0:
         return 0.0
-    js, ws = _poisson_weights(dist.noncentrality / 2.0)
-    val = float(np.sum(ws * gammainc((dist.dof + 2 * js) / 2.0, x / 2.0)))
-    return min(max(val, 0.0), 1.0)
+    return min(max(_mixture_sum(dist, 0, x), 0.0), 1.0)
 
 
 def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float:
@@ -241,16 +268,8 @@ def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float:
     E[X**-1] = 1/(m-2) and E[X**-2] = 1/((m-2)(m-4)); the orders need
     dof >= 3 and dof >= 5 respectively for the moment to exist.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    least = 3 if order == 1 else 5
-    if dist.dof < least:
-        raise ValueError(f"inv_moment of order {order} needs dof >= {least}, got {dist.dof}")
-    js, ws = _poisson_weights(dist.noncentrality / 2.0)
-    m = dist.dof + 2.0 * js
-    if order == 1:
-        return float(np.sum(ws / (m - 2.0)))
-    return float(np.sum(ws / ((m - 2.0) * (m - 4.0))))
+    _check_order(dist, order, "inv_moment")
+    return _mixture_sum(dist, order)
 
 
 def truncated_inv_moment(dist: NoncentralChiSq, cutoff: float, order: int = 1) -> float:
@@ -266,17 +285,7 @@ def truncated_inv_moment(dist: NoncentralChiSq, cutoff: float, order: int = 1) -
     Monotone nondecreasing in cutoff with limits 0 (cutoff -> 0) and the
     corresponding untruncated inverse moment (cutoff -> inf).
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    least = 3 if order == 1 else 5
-    if dist.dof < least:
-        raise ValueError(
-            f"truncated_inv_moment of order {order} needs dof >= {least}, got {dist.dof}"
-        )
+    _check_order(dist, order, "truncated_inv_moment")
     if cutoff <= 0.0:
         return 0.0
-    js, ws = _poisson_weights(dist.noncentrality / 2.0)
-    m = dist.dof + 2.0 * js
-    if order == 1:
-        return float(np.sum(ws * gammainc((m - 2.0) / 2.0, cutoff / 2.0) / (m - 2.0)))
-    return float(np.sum(ws * gammainc((m - 4.0) / 2.0, cutoff / 2.0) / ((m - 2.0) * (m - 4.0))))
+    return _mixture_sum(dist, order, cutoff)

@@ -8,12 +8,7 @@ that the shrinkage bias formula describes what fitted estimators actually do.
 import numpy as np
 import pytest
 
-from bellshrink.asymptotics import (
-    LocalAlternative,
-    asymptotic_amse,
-    asymptotic_bias,
-    limiting_moments,
-)
+from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from bellshrink.shrinkage import LinearRestriction
 from bellshrink.special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf
 from oracles import max_z_score, normal_theory_moments
@@ -61,6 +56,14 @@ def test_local_alternative_projection_identities():
     eigvals = np.linalg.eigvalsh(la.kappa0)
     assert np.all(eigvals > -1e-12)
     assert np.sum(eigvals > 1e-10) == 3  # rank equals the restriction count
+    # F^-1 splits into the projection block kappa0 and the residual block,
+    # both covariances: the residual is symmetric PSD of rank k - r.
+    residual = f_inv - la.kappa0
+    np.testing.assert_allclose(residual + la.kappa0, f_inv, atol=1e-12)
+    np.testing.assert_allclose(residual, residual.T, atol=1e-12)
+    eigvals = np.linalg.eigvalsh(residual)
+    assert np.all(eigvals > -1e-10)
+    assert np.sum(eigvals > 1e-10) == 3
     assert la.delta == pytest.approx(2.5, rel=1e-10)
 
 
@@ -78,31 +81,6 @@ def test_local_alternative_validation():
         LocalAlternative(gamma=np.zeros(2), fisher=np.eye(5), restriction=rest)
     with pytest.raises(ValueError):
         LocalAlternative(gamma=np.zeros(3), fisher=np.eye(4), restriction=rest)
-
-
-# ---------------------------------------------------------- limiting moments
-
-
-def test_limiting_moments_block_structure():
-    la = random_alternative(6, 4, 3.0, SEED + 1)
-    lm = limiting_moments(la)
-    z1_mean, z2_mean, z3_mean = lm.means
-    kg = la.kappa @ la.gamma
-    np.testing.assert_allclose(z1_mean, np.zeros(6), atol=0)
-    np.testing.assert_allclose(z2_mean, -kg, atol=0)
-    np.testing.assert_allclose(z3_mean, kg, atol=0)
-    blocks = lm.cov_blocks
-    np.testing.assert_allclose(blocks[1, 2], np.zeros((6, 6)), atol=0)
-    np.testing.assert_allclose(blocks[0, 0] - blocks[1, 1], la.kappa0, atol=1e-12)
-    for i in range(3):
-        np.testing.assert_allclose(blocks[i, i], blocks[i, i].T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(blocks[i, i]) > -1e-10)
-
-
-def test_limiting_moments_zero_gamma():
-    lm = limiting_moments(toy_alternative(delta=0.0))
-    for mean in lm.means:
-        np.testing.assert_allclose(mean, 0.0, atol=0)
 
 
 # -------------------------------------------------------------------- biases

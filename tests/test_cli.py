@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import bellshrink
+from bellshrink.cli import _parse_sim_config
 from conftest import simulate_dataset, subprocess_env
 
 SEED = 41522
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(*args, cwd=None):
@@ -154,7 +156,29 @@ def test_theory_delta_grid_into_the_thousands(tmp_path, restriction_file):
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
 
 
+def test_theory_reproduces_paper_curves(tmp_path):
+    # The command README gives for the paper's closed-form curves.
+    out = tmp_path / "theory_curves.csv"
+    proc = run_cli(
+        "theory", "--restriction", str(CONFIGS / "theory_restriction.txt"),
+        "--delta-grid", ",".join(format(0.25 * i, "g") for i in range(49)),
+        "--direction", "1,1,1,1,1", "--out", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 49 * 5
+    at_zero = {est: float(trace) for delta, est, _, trace in rows if delta == "0"}
+    assert (at_zero["UN"], at_zero["RE"], at_zero["JSE"]) == (7.0, 2.0, 4.0)
+
+
 # -------------------------------------------------------------- simulate
+
+
+def test_paper_grid_config():
+    cfg = _parse_sim_config(CONFIGS / "paper_grid.cfg")
+    assert (cfg["n"], cfg["p"]) == ([50, 100, 200], [3, 6, 12])
+    assert cfg["tau"] == [round(0.1 * i, 1) for i in range(11)]
+    assert (cfg["replications"], cfg["seed"]) == (1000, 0)
 
 
 @pytest.fixture
@@ -279,6 +303,29 @@ def test_bad_count_data_is_numerical_error(tmp_path):
     proc = run_cli("fit", "--data", str(path), "--response", "y", "--covariates", "x")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: data:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theory", "--restriction", "{rest}", "--gamma", "0", "--alpha", "1.5"],
+        ["theory", "--restriction", "{rest}", "--delta-grid", "1,nan"],
+        ["theory", "--restriction", "{rest}", "--gamma", "0,inf,0"],
+        ["theory", "--restriction", "{rest}", "--delta-grid", "1", "--direction", "1,nan,0"],
+        ["estimate", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest1}", "--alpha", "2"],
+        ["bootstrap", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest1}", "--replications", "0"],
+    ],
+)
+def test_bad_flag_value_is_usage_error_before_any_output(args, data_csv, restriction_file, tmp_path):
+    rest1 = tmp_path / "one.txt"
+    rest1.write_text("0 1 | 0\n")
+    paths = {"{data}": data_csv, "{rest}": restriction_file, "{rest1}": rest1}
+    proc = run_cli(*(str(paths.get(a, a)) for a in args))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: usage:")
+    assert proc.stdout == ""
 
 
 def test_help_exits_zero_for_all_subcommands():

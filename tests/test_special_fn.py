@@ -255,6 +255,8 @@ def test_truncated_inverse_moment_limits():
     vals = [truncated_inv_moment(dist, c) for c in cutoffs]
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] <= inv_moment(dist) + 1e-15
+    for order in (1, 2):
+        assert truncated_inv_moment(dist, math.inf, order) == inv_moment(dist, order)
 
 
 @given(
