@@ -72,6 +72,8 @@ class BootstrapConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pseudo_truth is not None:
             object.__setattr__(
                 self, "pseudo_truth", np.asarray(self.pseudo_truth, dtype=float).reshape(-1)

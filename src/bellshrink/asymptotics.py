@@ -31,6 +31,7 @@ risks plotted against delta.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,13 @@ _AMSE_ESTIMATORS = ESTIMATOR_ORDER
 @dataclass
 class LocalAlternative:
     """A restriction drift direction gamma together with the information
-    limit F; derived projection quantities are computed once on creation."""
+    limit F; derived projection quantities are computed once on creation.
+
+    `with_gamma` moves the drift and keeps the projection quantities, which
+    depend on (F, H) only, so a sweep over delta builds them once.  Each
+    noncentral chi-square quantity the estimators need is evaluated once per
+    alternative and shared by every `asymptotic_bias`/`asymptotic_amse` call.
+    """
 
     gamma: np.ndarray
     fisher: np.ndarray
@@ -62,27 +69,34 @@ class LocalAlternative:
     kappa: np.ndarray = field(init=False, repr=False)
     kappa0: np.ndarray = field(init=False, repr=False)
     delta: float = field(init=False)
+    _hfh: np.ndarray = field(init=False, repr=False)  # H F^-1 H'
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         H = self.restriction.H
         r, k = H.shape
-        gamma = np.asarray(self.gamma, dtype=float).reshape(-1)
+        gamma = _checked_gamma(self.gamma, r)
         fisher = np.ascontiguousarray(self.fisher, dtype=float)
-        if gamma.shape != (r,):
-            raise ValueError(f"gamma must have shape ({r},), got {gamma.shape}")
         if fisher.shape != (k, k):
             raise ValueError(f"fisher must have shape ({k}, {k}), got {fisher.shape}")
-        if not np.all(np.isfinite(gamma)):
-            raise ValueError("gamma contains non-finite entries")
         self.gamma = gamma
         self.fisher = fisher
         self.f_inv = spd_inverse(fisher)
         finv_ht = self.f_inv @ H.T
-        m = H @ finv_ht  # H F^-1 H', SPD because H has full row rank
-        self.kappa = spd_solve(m, finv_ht.T).T
+        self._hfh = H @ finv_ht  # SPD because H has full row rank
+        self.kappa = spd_solve(self._hfh, finv_ht.T).T
         self.kappa0 = self.kappa @ finv_ht.T
         self.kappa0 = (self.kappa0 + self.kappa0.T) / 2.0
-        self.delta = max(0.0, float(gamma @ spd_solve(m, gamma)))
+        self.delta = _noncentrality(self._hfh, gamma)
+
+    def with_gamma(self, gamma) -> LocalAlternative:
+        """The same F and restriction at drift gamma; the values equal those of
+        `LocalAlternative(gamma, self.fisher, self.restriction)`."""
+        la = copy.copy(self)
+        la.gamma = _checked_gamma(gamma, self.n_restrictions)
+        la.delta = _noncentrality(self._hfh, la.gamma)
+        la._memo = {}
+        return la
 
     @property
     def n_restrictions(self) -> int:
@@ -93,6 +107,31 @@ class LocalAlternative:
         return self.fisher.shape[0]
 
 
+def _checked_gamma(gamma, r: int) -> np.ndarray:
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    if gamma.shape != (r,):
+        raise ValueError(f"gamma must have shape ({r},), got {gamma.shape}")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("gamma contains non-finite entries")
+    return gamma
+
+
+def _noncentrality(hfh: np.ndarray, gamma: np.ndarray) -> float:
+    return max(0.0, float(gamma @ spd_solve(hfh, gamma)))
+
+
+def _ncx2(la: LocalAlternative, fn, dof: int, **kwargs) -> float:
+    """fn(dist=chi2_dof(delta), **kwargs) for one of the noncentral
+    chi-square functions, evaluated once per alternative."""
+    memo = la._memo
+    key = (fn, dof, *sorted(kwargs.items()))
+    if key not in memo:
+        if dof not in memo:
+            memo[dof] = NoncentralChiSq(dof, la.delta)
+        memo[key] = fn(dist=memo[dof], **kwargs)
+    return memo[key]
+
+
 def _require(estimator: str, allowed: tuple[str, ...]) -> str:
     est = str(estimator).upper()
     if est not in allowed:
@@ -100,11 +139,12 @@ def _require(estimator: str, allowed: tuple[str, ...]) -> str:
     return est
 
 
-def _js_pieces(la: LocalAlternative):
+def _js_shrinkage(la: LocalAlternative) -> float:
+    """The James-Stein constant c = r - 2."""
     r = la.n_restrictions
     if r < _MIN_JS_RESTRICTIONS:
         raise ValueError(f"James-Stein asymptotics need r >= 3 restrictions, got r={r}")
-    return r - 2.0, NoncentralChiSq(r + 2, la.delta), NoncentralChiSq(r + 4, la.delta)
+    return r - 2.0
 
 
 def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
@@ -117,17 +157,21 @@ def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
     """
     est = _require(estimator, _BIAS_ESTIMATORS)
     kg = la.kappa @ la.gamma
+    r = la.n_restrictions
     if est == "RE":
         return -kg
     if est == "PTE":
-        cutoff = _critical_value(alpha, la.n_restrictions)
-        return -kg * noncentral_chisq_cdf(cutoff, NoncentralChiSq(la.n_restrictions + 2, la.delta))
-    c, d2, _ = _js_pieces(la)
-    jse = -c * inv_moment(d2) * kg
+        cutoff = _critical_value(alpha, r)
+        return -kg * _ncx2(la, noncentral_chisq_cdf, r + 2, x=cutoff)
+    c = _js_shrinkage(la)
+    jse = -c * _ncx2(la, inv_moment, r + 2, order=1) * kg
     if est == "JSE":
         return jse
     # PJSE: clamping to the positive part adds E[(1 - c/q) 1{q < c}] along kg.
-    correction = c * truncated_inv_moment(d2, c) - noncentral_chisq_cdf(c, d2)
+    correction = (
+        c * _ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=1)
+        - _ncx2(la, noncentral_chisq_cdf, r + 2, x=c)
+    )
     return jse + correction * kg
 
 
@@ -143,19 +187,19 @@ def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
         return finv.copy()
     kg = la.kappa @ la.gamma
     drift = np.outer(kg, kg)
+    r = la.n_restrictions
     if est == "RE":
         return finv - la.kappa0 + drift
     if est == "PTE":
-        r = la.n_restrictions
         cutoff = _critical_value(alpha, r)
-        p2 = noncentral_chisq_cdf(cutoff, NoncentralChiSq(r + 2, la.delta))
-        p4 = noncentral_chisq_cdf(cutoff, NoncentralChiSq(r + 4, la.delta))
+        p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=cutoff)
+        p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=cutoff)
         return finv - la.kappa0 * p2 + drift * (2.0 * p2 - p4)
-    c, d2, d4 = _js_pieces(la)
-    e1_2 = inv_moment(d2, order=1)
-    e2_2 = inv_moment(d2, order=2)
-    e1_4 = inv_moment(d4, order=1)
-    e2_4 = inv_moment(d4, order=2)
+    c = _js_shrinkage(la)
+    e1_2 = _ncx2(la, inv_moment, r + 2, order=1)
+    e2_2 = _ncx2(la, inv_moment, r + 2, order=2)
+    e1_4 = _ncx2(la, inv_moment, r + 4, order=1)
+    e2_4 = _ncx2(la, inv_moment, r + 4, order=2)
     jse = (
         finv
         + la.kappa0 * (c * (c * e2_2 - 2.0 * e1_2))
@@ -166,12 +210,12 @@ def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
     # PJSE: the clamp replaces the negative-factor region {q < c} of the
     # James-Stein risk; both corrections are expectations of
     # (1 - c/q)**2-type terms truncated to that region.
-    p2 = noncentral_chisq_cdf(c, d2)
-    p4 = noncentral_chisq_cdf(c, d4)
-    t1_2 = truncated_inv_moment(d2, c, order=1)
-    t2_2 = truncated_inv_moment(d2, c, order=2)
-    t1_4 = truncated_inv_moment(d4, c, order=1)
-    t2_4 = truncated_inv_moment(d4, c, order=2)
+    p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=c)
+    p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=c)
+    t1_2 = _ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=1)
+    t2_2 = _ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=2)
+    t1_4 = _ncx2(la, truncated_inv_moment, r + 4, cutoff=c, order=1)
+    t2_4 = _ncx2(la, truncated_inv_moment, r + 4, cutoff=c, order=2)
     core = -p2 + 2.0 * c * t1_2 - c * c * t2_2
     drift_corr = 2.0 * p2 - 2.0 * c * t1_2 - p4 + 2.0 * c * t1_4 - c * c * t2_4
     return jse + la.kappa0 * core + drift * drift_corr

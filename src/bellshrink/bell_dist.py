@@ -35,6 +35,7 @@ __all__ = [
 
 _PARAM_RTOL = 1e-8
 _ZTP_INVERSION_BELOW = 0.1
+_ARRAY_REDRAW_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,25 @@ def _ztp(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if big.any():
         th = theta[big]
         draws = rng.poisson(th)
-        reject = draws == 0
-        while reject.any():
-            draws[reject] = rng.poisson(th[reject])
-            reject = draws == 0
+        # Each round redraws the still-zero parts in ascending order.  The
+        # generator draws array entries one after another, so a round of
+        # scalar calls takes the same numbers from the stream, and below
+        # _ARRAY_REDRAW_MIN parts it costs less than one array call.
+        pending = np.flatnonzero(draws == 0)
+        while pending.size >= _ARRAY_REDRAW_MIN:
+            redraw = rng.poisson(th[pending])
+            draws[pending] = redraw
+            pending = pending[redraw == 0]
+        tail = [(int(i), float(th[i])) for i in pending]
+        while tail:
+            still = []
+            for i, t in tail:
+                draw = rng.poisson(t)
+                if draw:
+                    draws[i] = draw
+                else:
+                    still.append((i, t))
+            tail = still
         out[big] = draws
     return out
 

@@ -76,6 +76,17 @@ def _alpha(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """Type of the --threads flag: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bellshrink", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -112,7 +123,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run relative-efficiency experiments")
     p_sim.add_argument("--config", required=True, help="key-value experiment file")
     p_sim.add_argument("--seed", type=int, help="override the config seed")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p_sim.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
     p_sim.add_argument("--out", required=True, help="write the results CSV here")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -258,8 +269,9 @@ def _cmd_theory(args) -> int:
     m = rest.H @ spd_solve(fisher, rest.H.T)
     unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
     lines = ["delta,estimator,bias_norm,amse_trace"]
+    geometry = LocalAlternative(gamma=np.zeros(r), fisher=fisher, restriction=rest)
     for d in deltas:
-        la = LocalAlternative(gamma=np.sqrt(d) * unit, fisher=fisher, restriction=rest)
+        la = geometry.with_gamma(np.sqrt(d) * unit)
         for est in ests:
             bias = np.zeros(k) if est == "UN" else asymptotic_bias(est, la, alpha=args.alpha)
             amse = asymptotic_amse(est, la, alpha=args.alpha)
@@ -352,7 +364,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"{args.config}: {exc}") from None
     grid = []
     for cfg in configs:
-        result = run_simulation(cfg, threads=max(1, args.threads))
+        result = run_simulation(cfg, threads=args.threads)
         grid.extend(result.grid)
         for gp in result.grid:
             print(

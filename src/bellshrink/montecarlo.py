@@ -87,6 +87,8 @@ class SimConfig:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         taus = tuple(float(t) for t in self.tau_grid)
         if not taus or not all(np.isfinite(t) for t in taus):
             raise ValueError("tau_grid must be a nonempty list of finite values")

@@ -24,6 +24,7 @@ pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,10 @@ class EstimatorSet:
     f_stat: float
 
 
+@functools.lru_cache(maxsize=64)
 def _critical_value(alpha: float, r: int) -> float:
-    """The chi-square(r) upper-alpha critical value of the pretest."""
+    """The chi-square(r) upper-alpha critical value of the pretest, computed
+    once per (alpha, r); the errors are raised on every call."""
     if alpha is None:
         raise ValueError("the pretest estimator needs a test level alpha")
     if not 0.0 < alpha < 1.0:

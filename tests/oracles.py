@@ -7,6 +7,12 @@ limiting-distribution moments via brute-force normal sampling, CSV
 ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
 by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
 compositions of package functions that only the tests use.
+
+Two references keep an earlier, plainer form of a package routine that was
+rewritten for speed with the same arithmetic: `ztp_rejection_masked`, the
+zero-truncated Poisson rejection loop that re-masks every part each round,
+and `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
+`LocalAlternative` and fresh noncentral chi-square evaluations per delta.
 """
 import csv
 
@@ -252,3 +258,39 @@ def lr_statistic(model, data, rest):
     from bellshrink.shrinkage import restricted
 
     return 2.0 * (model.loglik - loglik(restricted(model, rest), data))
+
+
+def ztp_rejection_masked(theta, rng):
+    """Zero-truncated Poisson(theta) draws by rejection, every entry >= 0.1:
+    each round redraws all still-zero entries with one array call."""
+    draws = rng.poisson(theta)
+    reject = draws == 0
+    while reject.any():
+        draws[reject] = rng.poisson(theta[reject])
+        reject = draws == 0
+    return draws
+
+
+def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
+    """The CSV lines of `theory --delta-grid`, one fresh LocalAlternative
+    and one call of the public bias/AMSE functions per (delta, estimator)."""
+    from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
+    from bellshrink.linalg import spd_solve
+    from bellshrink.montecarlo import _fmt
+    from bellshrink.shrinkage import estimator_names
+
+    r, k = rest.H.shape
+    m = rest.H @ spd_solve(fisher, rest.H.T)
+    unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
+    lines = ["delta,estimator,bias_norm,amse_trace"]
+    for d in deltas:
+        for est in estimator_names(r):
+            la = LocalAlternative(gamma=np.sqrt(d) * unit, fisher=fisher, restriction=rest)
+            bias = np.zeros(k) if est == "UN" else asymptotic_bias(est, la, alpha=alpha)
+            la = LocalAlternative(gamma=np.sqrt(d) * unit, fisher=fisher, restriction=rest)
+            amse = asymptotic_amse(est, la, alpha=alpha)
+            lines.append(
+                f"{_fmt(d)},{est},{_fmt(float(np.sqrt(bias @ bias)))},"
+                f"{_fmt(float(np.trace(amse)))}"
+            )
+    return lines

@@ -5,13 +5,17 @@ Gaussian experiment and checks every closed form.  The expensive one runs
 the full count-regression pipeline under a drifting restriction and checks
 that the shrinkage bias formula describes what fitted estimators actually do.
 """
+import collections
+import functools
+
 import numpy as np
 import pytest
 
+from bellshrink import asymptotics, cli, shrinkage
 from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
-from bellshrink.shrinkage import LinearRestriction
+from bellshrink.shrinkage import ESTIMATOR_ORDER, LinearRestriction, load_restriction
 from bellshrink.special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf
-from oracles import max_z_score, normal_theory_moments
+from oracles import max_z_score, normal_theory_moments, theory_sweep_lines
 
 SEED = 771239
 ALPHA = 0.05
@@ -181,6 +185,97 @@ def test_amse_matrices_symmetric():
     for est in ["UN", "RE", "JSE", "PJSE", "PTE"]:
         A = asymptotic_amse(est, la, alpha=ALPHA)
         np.testing.assert_allclose(A, A.T, atol=1e-12)
+
+
+# -------------------------------------------------------------- theory sweep
+
+
+def test_with_gamma_equals_a_fresh_alternative():
+    la = random_alternative(6, 4, 2.0, SEED)
+    before = {est: asymptotic_amse(est, la, alpha=ALPHA) for est in ESTIMATOR_ORDER}
+    gamma = np.array([0.3, -1.2, 0.0, 2.5])
+    moved = la.with_gamma(gamma)
+    fresh = LocalAlternative(gamma, la.fisher, la.restriction)
+    for name in ("gamma", "f_inv", "kappa", "kappa0"):
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
+    assert moved.delta == fresh.delta
+    for est in ESTIMATOR_ORDER:
+        assert np.array_equal(asymptotic_amse(est, moved, alpha=ALPHA),
+                              asymptotic_amse(est, fresh, alpha=ALPHA))
+        if est != "UN":
+            assert np.array_equal(asymptotic_bias(est, moved, alpha=ALPHA),
+                                  asymptotic_bias(est, fresh, alpha=ALPHA))
+        # the original keeps its own drift and values
+        assert np.array_equal(asymptotic_amse(est, la, alpha=ALPHA), before[est])
+    assert la.delta == pytest.approx(2.0, rel=1e-10)
+    with pytest.raises(ValueError):
+        la.with_gamma(np.zeros(3))
+    with pytest.raises(ValueError):
+        la.with_gamma(np.full(4, np.nan))
+
+
+SWEEP_DELTAS = (0.0, 0.5, 3.0, 40.0, 700.0)
+SWEEP_ALPHA = 0.1
+
+
+def _theory_sweep(tmp_path, k, r, seed, name="curves.csv"):
+    """Run `theory --delta-grid` on a random restriction geometry with a
+    non-identity information limit; returns (restriction, F, direction, out)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        H = rng.integers(-2, 3, size=(r, k)).astype(float)
+        if np.linalg.matrix_rank(H) == r:
+            break
+    A = rng.standard_normal((k, k))
+    fisher = A @ A.T / k + 0.5 * np.eye(k)
+    direction = rng.standard_normal(r)
+    rest_path, fisher_path = tmp_path / "rest.txt", tmp_path / "fisher.csv"
+    rest_path.write_text(
+        "".join(" ".join(format(v, ".17g") for v in row) + " | 0\n" for row in H)
+    )
+    fisher_path.write_text(
+        "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in fisher)
+    )
+    out = tmp_path / name
+    code = cli.main([
+        "theory", "--restriction", str(rest_path), "--fisher", str(fisher_path),
+        "--alpha", str(SWEEP_ALPHA), "--delta-grid", ",".join(format(d, "g") for d in SWEEP_DELTAS),
+        "--direction=" + ",".join(format(v, ".17g") for v in direction), "--out", str(out),
+    ])
+    assert code == 0
+    return load_restriction(rest_path), np.loadtxt(fisher_path, delimiter=",", ndmin=2), direction, out
+
+
+@pytest.mark.parametrize("k, r", [(4, 2), (5, 3), (7, 5)])
+def test_theory_sweep_matches_fresh_alternative_per_delta(tmp_path, capsys, k, r):
+    rest, fisher, direction, out = _theory_sweep(tmp_path, k, r, SEED + r)
+    want = theory_sweep_lines(rest, fisher, SWEEP_DELTAS, direction, SWEEP_ALPHA)
+    assert out.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse"):
+        monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
+    monkeypatch.setattr(shrinkage.chi2, "ppf", counting("ppf", shrinkage.chi2.ppf))
+    shrinkage._critical_value.cache_clear()
+    for sweep in ("a.csv", "b.csv"):  # two calls at the same (alpha, r)
+        _theory_sweep(tmp_path, 6, 4, SEED, name=sweep)
+    ncx2 = calls["noncentral_chisq_cdf"] + calls["inv_moment"] + calls["truncated_inv_moment"]
+    # per delta: two cdfs at each of the critical value and r - 2, and
+    # both plain and truncated inverse moments of orders 1 and 2
+    assert ncx2 == 2 * 12 * len(SWEEP_DELTAS)
+    assert calls["ppf"] == 1
+    assert calls["spd_inverse"] == 2  # one geometry per call
 
 
 # ------------------------------------------------- normal-theory oracle checks

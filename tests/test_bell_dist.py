@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellshrink import bell_dist
 from bellshrink.bell_dist import (
     BellParam,
     log_pmf,
@@ -15,7 +16,7 @@ from bellshrink.bell_dist import (
     sample_counts,
 )
 from bellshrink.special_fn import lambert_w0
-from oracles import inversion_sample, pooled_gof
+from oracles import inversion_sample, pooled_gof, ztp_rejection_masked
 
 SEED = 61409
 
@@ -208,3 +209,23 @@ def test_sample_counts_deterministic_under_fixed_seed():
     a = sample_counts(theta, np.random.default_rng(77))
     b = sample_counts(theta, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        # about 90% zeros per round: many rounds with more, then fewer than
+        # 16 parts pending
+        np.full(3000, 0.1001),
+        np.concatenate([np.full(400, 0.1001), np.linspace(0.1, 6.0, 400)]),
+    ],
+    ids=["near-0.1", "mixed"],
+)
+def test_ztp_rejection_takes_the_stream_of_the_masked_loop(theta):
+    rng_new = np.random.default_rng(SEED)
+    rng_old = np.random.default_rng(SEED)
+    got = bell_dist._ztp(theta, rng_new)
+    want = ztp_rejection_masked(theta, rng_old)
+    assert np.array_equal(got, want) and got.dtype == np.int64
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert np.all(got >= 1)

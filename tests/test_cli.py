@@ -316,16 +316,26 @@ def test_bad_count_data_is_numerical_error(tmp_path):
          "--restriction", "{rest1}", "--alpha", "2"],
         ["bootstrap", *"--data {data} --response y --covariates x1".split(),
          "--restriction", "{rest1}", "--replications", "0"],
+        ["bootstrap", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest1}", "--seed", "-1"],
+        ["simulate", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
+        ["simulate", "--config", "{cfg}", "--threads", "0", "--out", "{out}"],
+        ["simulate", "--config", "{cfg}", "--threads", "-3", "--out", "{out}"],
     ],
 )
 def test_bad_flag_value_is_usage_error_before_any_output(args, data_csv, restriction_file, tmp_path):
     rest1 = tmp_path / "one.txt"
     rest1.write_text("0 1 | 0\n")
-    paths = {"{data}": data_csv, "{rest}": restriction_file, "{rest1}": rest1}
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("n = 50\np = 3\ntau = 0\nreplications = 2\n")
+    out = tmp_path / "o.csv"
+    paths = {"{data}": data_csv, "{rest}": restriction_file, "{rest1}": rest1,
+             "{cfg}": cfg, "{out}": out}
     proc = run_cli(*(str(paths.get(a, a)) for a in args))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: usage:")
     assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_help_exits_zero_for_all_subcommands():

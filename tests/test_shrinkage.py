@@ -353,6 +353,19 @@ def test_estimate_many_checks_alpha_and_shape():
         estimate_many(model.beta[None, :4], model.fisher_info[None, :4, :4], rest)
 
 
+def test_pretest_critical_value_cached_and_errors_raised_on_every_call():
+    un, re = np.zeros(2), np.ones(2)
+    crit = float(chi2.ppf(0.9, 3))
+    for _ in range(2):  # a cached value must not swallow the checks
+        with pytest.raises(ValueError, match="needs a test level"):
+            pretest(un, re, 1.0, 3, None)
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="alpha must be in"):
+                pretest(un, re, 1.0, 3, alpha)
+        assert np.array_equal(pretest(un, re, np.nextafter(crit, 0.0), 3, 0.1), re)
+        assert np.array_equal(pretest(un, re, crit, 3, 0.1), un)
+
+
 def test_estimators_agree_under_true_restriction_at_large_n():
     beta = np.array([0.4, 0.2, 0.2, 0.2])
     H = np.array([[0, 1.0, -1.0, 0], [0, 0, 1.0, -1.0], [1.0, 0, 0, 0]])
