@@ -219,9 +219,8 @@ class _ResampleDraw:
         if not self.with_replacement:
             return np.arange(self.y.size)
         seq = np.random.SeedSequence(self.seed, spawn_key=(rep, attempt))
-        return np.random.Generator(np.random.PCG64(seq)).choice(
-            self.y.size, size=self.n_obs, replace=True
-        )
+        rng = np.random.Generator(np.random.PCG64(seq))
+        return rng.integers(0, self.y.size, size=self.n_obs)
 
     def __call__(self, rep: int, attempt: int) -> Dataset:
         idx = self._rows(rep, attempt)

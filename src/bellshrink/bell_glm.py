@@ -18,20 +18,22 @@ factor.
 
 There is one fitting engine, `fit_many`, which runs this IRLS on a stack
 of R datasets of one shape (X as (R, n, k), y as (R, n)) with batched
-matrix products.  Members that converge leave the stack, and step
-halving, clamp counting, the convergence test and the final score check
-are decided per member.  Theta at each accepted iterate is kept for the
-next iteration and for the fitted model, so an iteration costs one Lambert
-W evaluation.  The Newton step is solved for directly, not as the next
-iterate less the current one, so designs with an ill-conditioned
-covariate (a large offset against a small spread) still converge.  A
-member whose design is rank deficient (numpy's matrix_rank rule) or whose
-information matrix fails the Cholesky solve of `linalg` is returned as
-None without failing its neighbours, and `fit`, the stack of one, raises
-SingularMatrixError for it.  Every operation either acts on one member at
-a time or element by element, so a member's result is the same to the
-last bit whatever else shares its stack; outputs built on the engine
-therefore do not depend on how replications are batched.
+matrix products and one batched SPD solve (`linalg.spd_solve_stack`) per
+iteration, so its Python cost does not grow with the number of members.
+Members that converge leave the stack, and step halving, clamp counting,
+the convergence test and the final score check are decided per member.
+Theta at each accepted iterate is kept for the next iteration and for the
+fitted model, so an iteration costs one Lambert W evaluation.  The Newton
+step is solved for directly, not as the next iterate less the current one,
+so designs with an ill-conditioned covariate (a large offset against a
+small spread) still converge.  A member whose design is rank deficient
+(numpy's matrix_rank rule) or whose information matrix
+`linalg.spd_solve_stack` flags is returned as None without failing its
+neighbours, and `fit`, the stack of one, raises SingularMatrixError for
+it.  Every operation, the batched solve included, acts on one member at a
+time or element by element, so a member's result is the same to the last
+bit whatever else shares its stack; outputs built on the engine therefore
+do not depend on how replications are batched.
 """
 
 from __future__ import annotations
@@ -257,10 +259,10 @@ def fit_many(
 
     Each (X[i], y[i]) must pass the checks of Dataset, else ValueError.
     Returns one FittedModel per member, or None for a singular member: one
-    whose design is rank deficient, or whose information matrix fails the
-    Cholesky solve of `linalg.spd_solve_stack`.  Members run the IRLS of
-    `fit` side by side and leave the stack as they converge; a member's
-    result does not depend on which other members share its stack.
+    whose design is rank deficient, or whose information matrix
+    `linalg.spd_solve_stack` flags.  Members run the IRLS of `fit` side by
+    side, with one batched solve per iteration, and leave the stack as they
+    converge; a member's result does not depend on which others share it.
     """
     X, counts = _checked(X, y, stacked=True)
     models: list[FittedModel | None] = [None] * X.shape[0]

@@ -1,24 +1,24 @@
 """Thin SPD solve helpers shared by the fitting and shrinkage code.
 
-All solves go through a Cholesky factorization (LAPACK dposv).  A failed
-factorization gets one retry with a jitter of 1e-10 * trace/dim added to
-the diagonal; a matrix that fails both, or that is non-finite or not
-symmetric, is not positive definite.  `spd_solve` and `spd_inverse` raise
-SingularMatrixError for it; `spd_solve_each` and `spd_solve_stack`, which
-solve a stack of small systems one member at a time, flag the member
-instead, so one singular member cannot fail the others.
+`spd_solve_stack` solves a stack of small systems with one Cholesky over
+the stack, which tests definiteness, and one LU solve (np.linalg.solve).
+Only if either raises are the members walked, to find the failing ones:
+each gets one retry with 1e-10 * trace/dim added to its diagonal, and one
+that fails both, or is non-finite or not symmetric, is flagged and replaced
+by the identity before the one batched solve.  So a member's bits never
+depend on its neighbours, and LinAlgError never leaves this module.
+`spd_solve` and `spd_inverse`, the stack of one, raise SingularMatrixError
+for a flagged member.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 __all__ = [
     "SingularMatrixError",
     "spd_inverse",
     "spd_solve",
-    "spd_solve_each",
     "spd_solve_stack",
 ]
 
@@ -32,35 +32,68 @@ class SingularMatrixError(ValueError):
 
 def _symmetric_finite(a: np.ndarray) -> np.ndarray:
     """Per matrix of a stack (..., k, k): finite and symmetric up to _SYM_RTOL."""
-    finite = np.all(np.isfinite(a), axis=(-2, -1))
-    a = np.where(finite[..., None, None], a, 0.0)
-    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-    asym = np.max(np.abs(a - np.swapaxes(a, -2, -1)), axis=(-2, -1), initial=0.0)
-    return finite & (asym <= _SYM_RTOL * np.maximum(1.0, scale))
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)  # NaN or inf if a is not finite
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1), initial=0.0)
+    return np.isfinite(scale) & (asym <= _SYM_RTOL * np.maximum(1.0, scale))
 
 
-def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """x with a x = b from the lower Cholesky factor of a, retried once with
-    diagonal jitter; None when both factorizations fail."""
-    _, x, info = dposv(a, b, lower=1)
-    if info != 0:
-        jitter = _JITTER_SCALE * np.trace(a) / a.shape[0]
-        _, x, info = dposv(a + jitter * np.eye(a.shape[0]), b, lower=1)
-    return x if info == 0 else None
+def _solvable(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether one member passes the Cholesky test and the LU solve."""
+    try:
+        np.linalg.cholesky(a)
+        np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a[i] x[i] = b[i] for a stack of SPD matrices (m, k, k) and
+    right-hand sides (m, k) or (m, k, r).
+
+    Returns (x, ok): ok[i] is False for a member that is not symmetric
+    positive definite after the jitter retry, or whose a[i] or b[i] is not
+    finite, and x[i] is then meaningless.  A member's solution and its
+    flag are the same, bit for bit, whatever else shares its stack.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == a.ndim - 1
+    rhs = b[..., None] if vector else b
+    ok = _symmetric_finite(a) & np.isfinite(rhs).all(axis=(-2, -1))
+    eye = np.eye(a.shape[-1])
+    if not ok.all():
+        a = np.where(ok[:, None, None], a, eye)
+    try:
+        np.linalg.cholesky(a)
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        a = a.copy()
+        for i in np.flatnonzero(ok):
+            if _solvable(a[i], rhs[i]):
+                continue
+            jittered = a[i] + _JITTER_SCALE * np.trace(a[i]) / len(eye) * eye
+            ok[i] = _solvable(jittered, rhs[i])
+            a[i] = jittered if ok[i] else eye
+        x = np.linalg.solve(a, rhs)
+    return (x[..., 0] if vector else x), ok
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    x, ok = spd_solve_stack(a[None], np.asarray(b, dtype=float)[None])
+    if ok[0]:
+        return x[0]
     if not np.all(np.isfinite(a)):
         raise SingularMatrixError("matrix contains non-finite entries")
     if not _symmetric_finite(a):
         raise SingularMatrixError("matrix is not symmetric")
-    x = _cholesky_solve(a, np.asarray(b, dtype=float))
-    if x is None:
-        raise SingularMatrixError("matrix is not positive definite")
-    return x
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side contains non-finite entries")
+    raise SingularMatrixError("matrix is not positive definite")
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,27 +106,3 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     inv = _solve(a, np.eye(a.shape[0]))
     return (inv + inv.T) / 2.0
-
-
-def spd_solve_each(a: np.ndarray, b: np.ndarray) -> list[np.ndarray | None]:
-    """Solve a[i] x[i] = b[i] for a stack of matrices (m, k, k) and
-    right-hand sides (m, k) or (m, k, r) under the rules of `spd_solve`.
-
-    Returns one solution per member, as `spd_solve` returns it for that
-    member alone (same bits, same memory layout), or None where
-    `spd_solve` would raise or b[i] is not finite.  Members never affect
-    each other, neither in their bits nor in their failure.
-    """
-    ok = _symmetric_finite(a) & np.all(np.isfinite(b), axis=tuple(range(1, b.ndim)))
-    return [_cholesky_solve(a[i], b[i]) if ok[i] else None for i in range(len(a))]
-
-
-def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`spd_solve_each` packed into arrays: returns (x, ok), where ok[i] is
-    False for a member without a solution and x[i] is then meaningless."""
-    x = np.empty_like(b)
-    xs = spd_solve_each(a, b)
-    ok = np.array([xi is not None for xi in xs], dtype=bool)
-    for i in np.flatnonzero(ok):
-        x[i] = xs[i]
-    return x, ok

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .bell_glm import FittedModel
-from .linalg import SingularMatrixError, spd_solve_each
+from .linalg import SingularMatrixError, spd_solve_stack
 
 __all__ = [
     "ESTIMATOR_ORDER",
@@ -211,23 +211,13 @@ def estimate_many(
         )
     r = rest.n_restrictions
     crit = _critical_value(alpha, r)
-    # F^-1 H' and (H F^-1 H')^-1 (H b - h), each member with the operations
-    # and memory layouts of a lone fit, so its bits do not depend on the stack
-    finv_ht = spd_solve_each(np.asarray(fisher, dtype=float), np.broadcast_to(H.T, (m, k, r)))
-    proj = np.full((m, r, r), np.nan)
-    gap = np.full((m, r), np.nan)
-    for i, x in enumerate(finv_ht):
-        if x is not None:
-            proj[i] = H @ x
-            gap[i] = H @ beta[i] - h
-    re = np.full((m, k), np.nan)
-    f_stat = np.full(m, np.nan)
-    ok = np.zeros(m, dtype=bool)
-    for i, y in enumerate(spd_solve_each(proj, gap)):
-        if y is not None:
-            re[i] = beta[i] - finv_ht[i] @ y
-            f_stat[i] = max(0.0, float(gap[i] @ y))
-            ok[i] = True
+    # F^-1 H' and y = (H F^-1 H')^-1 (H b - h), one batched solve each
+    finv_ht, ok = spd_solve_stack(fisher, np.broadcast_to(H.T, (m, k, r)))
+    gap = (H @ beta[..., None])[..., 0] - h
+    y, solved = spd_solve_stack(H @ finv_ht, gap)
+    ok &= solved
+    re = np.where(ok[:, None], beta - (finv_ht @ y[..., None])[..., 0], np.nan)
+    f_stat = np.where(ok, np.maximum(0.0, (gap[:, None, :] @ y[..., None])[:, 0, 0]), np.nan)
     un = np.where(ok[:, None], beta, np.nan)
     pte = np.where((f_stat < crit)[:, None], re, un)
     if r >= _MIN_JS_RESTRICTIONS:

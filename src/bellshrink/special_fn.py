@@ -54,18 +54,19 @@ _HALLEY_MAX_ITER = 50
 def lambert_w0(x):
     """Principal Lambert W branch on [0, inf): the w >= 0 solving w*e**w = x.
 
-    Halley's iteration on f(w) = w e**w - x, seeded with log1p(x) for
-    x <= e and log(x) - log(log(x)) beyond, converges to full double
-    precision in a handful of steps; the residual |w e**w - x| stays
-    below 1e-12 * max(1, x).  Each entry stops updating once its own
-    step is at most 1e-14, so an entry's value does not depend on the
-    other entries of the array: lambert_w0(x)[i] == lambert_w0(x[i])
-    bit for bit.
+    Seeded with Winitzki's (2003) approximation w = l (1 - log1p(l)/(2 + l)),
+    l = log1p(x), then refined by Halley's iteration on
+    g(w) = w - x e**-w, which is f(w) = w e**w - x divided by e**w, so no
+    term overflows anywhere in the domain, the largest float included.
+    Every input in the domain takes at most three passes.  Each entry
+    stops updating once its own step is at most 1e-14 * max(1, w), so an
+    entry's value does not depend on the other entries of the array:
+    lambert_w0(x)[i] == lambert_w0(x[i]) bit for bit.
 
     Parameters
     ----------
     x : float or ndarray
-        Nonnegative, finite.
+        Nonnegative and finite: every float in [0, 1.7976931348623157e308].
 
     Returns
     -------
@@ -75,17 +76,15 @@ def lambert_w0(x):
     z = np.asarray(x, dtype=float)
     if z.size and (np.any(z < 0.0) or not np.all(np.isfinite(z))):
         raise ValueError("lambert_w0 requires finite input >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(z <= math.e, np.log1p(z), np.log(z) - np.log(np.log(np.maximum(z, math.e))))
+    lz = np.log1p(z)
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
     active = np.ones(z.shape, dtype=bool)
     for _ in range(_HALLEY_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - z
+        g = w - z * np.exp(-w)
         wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
+        dw = g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
         w = np.where(active, w - dw, w)
-        active &= np.abs(dw) > _HALLEY_TOL
+        active &= np.abs(dw) > _HALLEY_TOL * np.maximum(1.0, w)
         if not active.any():
             break
     if scalar:

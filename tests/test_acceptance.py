@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from bellshrink.application import (
@@ -120,6 +121,7 @@ def test_criterion_2_null_distribution():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_efficiency_grid():
     # Simulated relative efficiencies across the full (n, p) grid: the
     # shrinkage ordering must hold under the true restriction, the
@@ -179,6 +181,7 @@ def test_criterion_3_efficiency_grid():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_theory_oracle():
     # Closed-form bias and AMSE against a brute-force sample from the
     # limiting normal experiment, three standard errors per component.
@@ -398,6 +401,7 @@ def _run_cli(*args, cwd):
     return proc
 
 
+@pytest.mark.slow
 def test_criterion_8_cli_determinism(tmp_path):
     # Every subcommand, run twice with the same seed, must write
     # byte-identical files; simulate must also match across thread counts.

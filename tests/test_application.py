@@ -250,6 +250,19 @@ def test_stacked_resample_equals_per_replication_resample(with_replacement):
             np.testing.assert_array_equal(y[i], one.y)
 
 
+@pytest.mark.parametrize("seed", [0, 7, SEED, 2**63 + 5])
+def test_resample_rows_are_the_rows_of_choice_with_replacement(seed):
+    # integers(0, n, size) draws the same stream as choice(n, size,
+    # replace=True), so bootstrap outputs keep the rows choice gave them.
+    for n_rows, n_obs in [(1, 3), (7, 7), (60, 40), (1000, 50), (2**40, 9)]:
+        y = np.broadcast_to(0, (n_rows,))  # only its size is read
+        draw = _ResampleDraw(y[:, None], y, seed, n_obs, True)
+        for rep, attempt in [(0, 0), (1, 0), (12, 3), (299, 1)]:
+            seq = np.random.SeedSequence(seed, spawn_key=(rep, attempt))
+            rows = np.random.Generator(np.random.PCG64(seq)).choice(n_rows, n_obs, replace=True)
+            np.testing.assert_array_equal(draw._rows(rep, attempt), rows)
+
+
 def test_bootstrap_bre_with_true_zero_restrictions():
     # two truly-zero coefficients: the restricted fit should win on average
     beta = np.array([0.3, 0.0, 0.4, 0.0, 0.25])

@@ -295,6 +295,7 @@ def test_all_closed_forms_match_limit_experiment():
             assert max_z_score(amse_th, amse_mc, amse_se) < 4.0, (est, delta)
 
 
+@pytest.mark.slow
 def test_shrinkage_trace_within_one_percent_of_limit_experiment():
     for delta, seed in [(0.0, 21), (1.0, 22), (4.0, 23)]:
         la = toy_alternative(k=7, r=5, delta=delta)
@@ -339,6 +340,7 @@ def test_lower_dof_variant_of_shrinkage_bias_is_rejected():
 # ------------------------------------------------ full-pipeline bias oracle
 
 
+@pytest.mark.slow
 def test_shrinkage_bias_describes_fitted_estimators():
     # drifting-restriction experiment: fixed design, true coefficients at
     # distance gamma/sqrt(n) from the restriction, shrinkage bias compared

@@ -116,3 +116,73 @@ def test_stack_follows_spd_solve_member_by_member():
     for i in np.flatnonzero(~ok):
         with pytest.raises(SingularMatrixError):
             spd_solve(a[i], b[i])
+
+
+# Passes Cholesky, but LU with partial pivoting swaps its rows and meets an
+# exact zero pivot, d * c == 1 in floating point: np.linalg.solve raises.
+_LU_ZERO_PIVOT = np.array([[0.31559482297027575, 1.0], [1.0, 3.168619784660361]])
+
+
+@pytest.mark.parametrize("rhs_cols", [None, 2])
+def test_stack_members_keep_their_bits_beside_failing_members(rhs_cols):
+    # Good members give the same bits in an all-good stack (one batched
+    # Cholesky and solve) as beside members that need the per-member walk:
+    # one rescued by jitter after a failed Cholesky, one after a failed LU
+    # solve, an indefinite one, a NaN one, a singular one that is not
+    # symmetric and one with an infinite entry.  No LinAlgError escapes.
+    rng = np.random.default_rng(3025)
+    k = 4
+    good = np.stack([random_spd(k, rng) for _ in range(5)])
+    shape = (k,) if rhs_cols is None else (k, rhs_cols)
+    b_good = rng.standard_normal((5, *shape))
+    x_good, ok_good = spd_solve_stack(good, b_good)
+    assert ok_good.all()
+    psd_singular = np.eye(k)
+    psd_singular[:2, :2] = 1.0
+    lu_zero_pivot = np.eye(k)
+    lu_zero_pivot[:2, :2] = _LU_ZERO_PIVOT
+    asym_singular = np.eye(k)
+    asym_singular[:2, :2] = [[1.0, 4.0], [0.5, 2.0]]  # its lower triangle is SPD
+    inf_entry = np.eye(k)
+    inf_entry[0, 1] = np.inf
+    bad = [
+        psd_singular,
+        lu_zero_pivot,
+        np.diag([1.0, -1.0, 1.0, 1.0]),
+        np.full((k, k), np.nan),
+        asym_singular,
+        inf_entry,
+    ]
+    interleaved = [good[0], bad[0], good[1], bad[1], good[2], bad[2], good[3], bad[3], good[4]]
+    a = np.stack(interleaved + bad[4:])
+    b_bad = rng.standard_normal((6, *shape))
+    b = np.concatenate([b_good, b_bad])[[0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 10]]
+    x, ok = spd_solve_stack(a, b)
+    assert ok.tolist() == [True, True, True, True, True, False, True, False, True, False, False]
+    np.testing.assert_array_equal(x[[0, 2, 4, 6, 8]], x_good)
+    for i in (1, 3):  # the jitter-rescued members solve their jittered systems
+        assert np.abs(a[i] @ x[i] - b[i]).max() < 1e-6 * np.abs(x[i]).max()
+    # the LU failure alone, after a Cholesky of the whole stack that passed
+    x, ok = spd_solve_stack(np.stack([good[0], lu_zero_pivot]), b[[0, 3]])
+    assert ok.all()
+    np.testing.assert_array_equal(x[0], x_good[0])
+    # a stack of failures only, and the unsymmetric singular member beside a
+    # good one: its lower triangle passes Cholesky, so only its replacement
+    # by the identity keeps the batched solve from raising
+    x, ok = spd_solve_stack(np.stack(bad[2:]), b[[5, 7, 9, 10]])
+    assert not ok.any()
+    x, ok = spd_solve_stack(np.stack([good[0], asym_singular]), b[[0, 9]])
+    assert ok.tolist() == [True, False]
+    np.testing.assert_array_equal(x[0], x_good[0])
+
+
+def test_stack_flags_non_finite_right_hand_side():
+    rng = np.random.default_rng(3026)
+    a = np.stack([random_spd(3, rng), random_spd(3, rng)])
+    b = rng.standard_normal((2, 3))
+    b[1, 2] = np.inf
+    x, ok = spd_solve_stack(a, b)
+    assert ok.tolist() == [True, False]
+    np.testing.assert_array_equal(x[0], spd_solve(a[0], b[0]))
+    with pytest.raises(ValueError, match="right-hand side"):
+        spd_solve(a[1], b[1])

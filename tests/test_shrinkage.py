@@ -404,6 +404,39 @@ def test_restriction_row_scaling_invariance():
     np.testing.assert_allclose(a.pte, b.pte, atol=1e-10)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 3),
+    shift=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    scale=st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+    flip=st.lists(st.booleans(), min_size=3, max_size=3),
+    mix=st.floats(-0.5, 0.5),
+)
+@settings(max_examples=30, deadline=None)
+def test_restricted_estimator_equivariant_under_affine_covariates(
+    seed, r, shift, scale, flip, mix
+):
+    # X -> X A with A invertible and A e1 = e1, so X A keeps the intercept
+    # column and shifts, rescales and mixes the covariates.  The MLE maps to
+    # A^-1 beta and the restriction H beta = h to (H A) beta' = h, so the
+    # restricted estimator is A^-1 RE and the Wald statistic is unchanged.
+    data = simulate_dataset(200, [0.4, 0.3, -0.5, 0.2], seed)
+    rng = np.random.default_rng(seed)
+    rest = LinearRestriction(H=rng.standard_normal((r, 4)), h=0.1 * rng.standard_normal(r))
+    B = np.diag(np.where(flip, -1.0, 1.0) * scale)
+    B[0, 1] = mix * scale[1]
+    A = np.eye(4)
+    A[0, 1:] = shift
+    A[1:, 1:] = B
+    moved = fit(type(data)(X=data.X @ A, y=data.y))
+    est = compute_all(fit(data), rest)
+    est_moved = compute_all(moved, LinearRestriction(H=rest.H @ A, h=rest.h))
+    # fits stop on a Newton step below 1e-8, and Fisher scoring converges
+    # linearly, so the two fits agree to about 1e-8 relative
+    np.testing.assert_allclose(A @ est_moved.re, est.re, rtol=1e-6, atol=1e-8)
+    assert est_moved.f_stat == pytest.approx(est.f_stat, rel=1e-6, abs=1e-8)
+
+
 # ---------------------------------------------------------- restriction files
 
 

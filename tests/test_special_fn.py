@@ -92,6 +92,30 @@ def test_lambert_w0_entry_does_not_depend_on_its_neighbours(xs):
         assert w[i] == lambert_w0(x)
 
 
+# 0, the smallest subnormal, a subnormal, a tiny normal, e, and the top of
+# the range, where the unscaled Halley residual w e**w - x overflowed
+W_DOMAIN_EDGES = [0.0, 5e-324, 1e-310, 1e-300, math.e, 1e100, 1e200, 1e308, np.finfo(float).max]
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambert_w0_matches_scipy_over_the_whole_domain():
+    x = np.array(W_DOMAIN_EDGES)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        w = lambert_w0(x)
+        scalars = [lambert_w0(v) for v in W_DOMAIN_EDGES]
+    np.testing.assert_allclose(w, scipy_lambertw(x).real, rtol=1e-15, atol=0)
+    assert scalars == w.tolist()
+
+
+def test_lambert_w0_converges_in_three_passes(monkeypatch):
+    # The Winitzki seed puts every float within three Halley passes of the
+    # value the full iteration returns.
+    x = np.concatenate([W_DOMAIN_EDGES, np.logspace(-300, 308, 20_000)])
+    w = lambert_w0(x)
+    monkeypatch.setattr(special_fn, "_HALLEY_MAX_ITER", 3)
+    np.testing.assert_array_equal(lambert_w0(x), w)
+
+
 # ------------------------------------------------------------------ log_bell
 
 
