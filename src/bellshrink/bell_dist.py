@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .special_fn import lambert_w0, log_bell
+from .special_fn import lambert_w0, log_bell_many
 
 __all__ = [
     "BellParam",
@@ -79,15 +79,10 @@ def log_pmf(y, param: BellParam):
     if ya.size and (np.any(ya < 0) or not np.all(np.equal(np.mod(ya, 1), 0))):
         raise ValueError("Bell support is the nonnegative integers")
     ya = ya.astype(np.int64, copy=False)
-    lb = np.empty(ya.shape, dtype=float)
-    flat = ya.ravel()
-    out = lb.ravel()
-    for i, yi in enumerate(flat):
-        out[i] = log_bell(int(yi))
     val = (
         ya * np.log(param.theta)
         + (1.0 - np.exp(param.theta))
-        + lb
+        + log_bell_many(ya)
         - gammaln(ya + 1.0)
     )
     if scalar:

@@ -10,12 +10,13 @@ to stderr, followed by any longer detail.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .application import (
     BootstrapConfig,
@@ -87,7 +88,9 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="bellshrink", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -199,7 +202,7 @@ def _cmd_estimate(args) -> int:
         raise ConvergenceError(f"fit did not converge in {model.n_iter} iterations")
     est_set = compute_all(model, rest, args.alpha)
     r = rest.n_restrictions
-    p_value = float(chi2.sf(est_set.f_stat, r))
+    p_value = float(chdtrc(r, est_set.f_stat))
     names = _coef_names(summary)
     ests = estimator_names(r)
     rows = [(est, getattr(est_set, est.lower())) for est in ests]
@@ -226,6 +229,15 @@ def _read_fisher(path, k: int) -> np.ndarray:
     return mat
 
 
+def _theory_values(la: LocalAlternative, ests, alpha):
+    """(estimator, bias, AMSE) of each estimator at every drift of `la`;
+    UN is unbiased."""
+    for est in ests:
+        amse = asymptotic_amse(est, la, alpha=alpha)
+        bias = np.zeros(amse.shape[:-1]) if est == "UN" else asymptotic_bias(est, la, alpha=alpha)
+        yield est, bias, amse
+
+
 def _cmd_theory(args) -> int:
     rest = load_restriction(args.restriction)
     r, k = rest.H.shape
@@ -242,9 +254,7 @@ def _cmd_theory(args) -> int:
         la = LocalAlternative(gamma=np.array(gamma), fisher=fisher, restriction=rest)
         lines = ["estimator,component,bias,amse_diag,amse_trace"]
         table = []
-        for est in ests:
-            bias = np.zeros(k) if est == "UN" else asymptotic_bias(est, la, alpha=args.alpha)
-            amse = asymptotic_amse(est, la, alpha=args.alpha)
+        for est, bias, amse in _theory_values(la, ests, args.alpha):
             tr = float(np.trace(amse))
             table.append([est, _fmt(la.delta), _fmt(float(bias @ bias) ** 0.5), _fmt(tr)])
             for i in range(k):
@@ -268,17 +278,22 @@ def _cmd_theory(args) -> int:
     # Scale the direction so the stated delta is the realized noncentrality.
     m = rest.H @ spd_solve(fisher, rest.H.T)
     unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
+    # The whole grid is one stack of drifts: one pass per estimator.
+    la = LocalAlternative(gamma=np.sqrt(deltas)[:, None] * unit, fisher=fisher, restriction=rest)
+    curves = [
+        (
+            est,
+            np.sqrt((bias[:, None, :] @ bias[:, :, None])[:, 0, 0]),  # one dot per row
+            np.trace(amse, axis1=1, axis2=2),
+        )
+        for est, bias, amse in _theory_values(la, ests, args.alpha)
+    ]
     lines = ["delta,estimator,bias_norm,amse_trace"]
-    geometry = LocalAlternative(gamma=np.zeros(r), fisher=fisher, restriction=rest)
-    for d in deltas:
-        la = geometry.with_gamma(np.sqrt(d) * unit)
-        for est in ests:
-            bias = np.zeros(k) if est == "UN" else asymptotic_bias(est, la, alpha=args.alpha)
-            amse = asymptotic_amse(est, la, alpha=args.alpha)
-            lines.append(
-                f"{_fmt(d)},{est},{_fmt(float(np.sqrt(bias @ bias)))},"
-                f"{_fmt(float(np.trace(amse)))}"
-            )
+    lines += [
+        f"{_fmt(d)},{est},{_fmt(norms[i])},{_fmt(traces[i])}"
+        for i, d in enumerate(deltas)
+        for est, norms, traces in curves
+    ]
     for line in lines[: min(len(lines), 12)]:
         print(line)
     if len(lines) > 12:

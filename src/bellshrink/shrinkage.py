@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .bell_glm import FittedModel
 from .linalg import SingularMatrixError, spd_solve_stack
@@ -144,7 +144,7 @@ def _critical_value(alpha: float, r: int) -> float:
         raise ValueError("the pretest estimator needs a test level alpha")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(chi2.ppf(1.0 - alpha, r))
+    return float(2.0 * gammaincinv(r / 2.0, 1.0 - alpha))
 
 
 def pretest(

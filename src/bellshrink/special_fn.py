@@ -24,6 +24,13 @@ that sum for all three: with m = dof + 2j and order k in {0, 1, 2}, it adds
 where c is the argument of the cdf (k = 0), the cutoff of a truncated
 moment, or infinity for a plain moment, whose terms need no incomplete
 gamma.  Each public function checks its own arguments and calls it once.
+
+A law may hold a stack of D noncentralities (a 1-d array), and the three
+functions then return one value per noncentrality.  The windows of a stack
+are zero-padded into one table, built once per stack, and each window is
+summed in index order, so a member's value is the same, bit for bit,
+whatever else shares its stack; a scalar noncentrality is the stack of one
+and gives a float.
 """
 
 from __future__ import annotations
@@ -183,18 +190,22 @@ def log_bell_many(n: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoncentralChiSq:
-    """Noncentral chi-square law with integer dof and noncentrality >= 0."""
+    """Noncentral chi-square law with integer dof and noncentrality >= 0,
+    or a stack of such laws sharing the dof: noncentrality a 1-d array."""
 
     dof: int
-    noncentrality: float
+    noncentrality: float | np.ndarray
 
     def __post_init__(self):
         if not float(self.dof).is_integer() or self.dof < 1:
             raise ValueError(f"dof must be an integer >= 1, got {self.dof!r}")
-        if not np.isfinite(self.noncentrality) or self.noncentrality < 0.0:
+        nc = np.array(self.noncentrality, dtype=float)
+        if nc.ndim > 1:
+            raise ValueError(f"noncentrality must be a scalar or 1-d, got shape {nc.shape}")
+        if not np.all(np.isfinite(nc)) or np.any(nc < 0.0):
             raise ValueError(f"noncentrality must be finite and >= 0, got {self.noncentrality!r}")
         object.__setattr__(self, "dof", int(self.dof))
-        object.__setattr__(self, "noncentrality", float(self.noncentrality))
+        object.__setattr__(self, "noncentrality", float(nc) if nc.ndim == 0 else _frozen(nc))
 
 
 @functools.lru_cache(maxsize=256)
@@ -223,6 +234,31 @@ def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.arange(lo, hi + 1)), _frozen(ws)
 
 
+@functools.lru_cache(maxsize=1)
+def _weight_table(lams: tuple[float, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """The `_poisson_weights` windows of a stack of D means as one table.
+
+    Returns (base, idx, ws) with idx and ws of shape (W, D + 1): column d
+    of ws holds the weights of Poisson(lams[d]) down the rows, zero past the
+    end of its window, and idx holds their indices j less base, the least
+    index of any window.  The last column is all zero: numpy adds the rows
+    of a 2-d array in order along axis 0 but sums a lone column pairwise,
+    so the extra column keeps a stack of one on the in-order path.  The
+    last stack's table is cached, so the cdf and the inverse moments of one
+    stack share it even when the stack is longer than the per-mean cache;
+    one entry bounds the memory a long grid keeps.
+    """
+    windows = [_poisson_weights(lam) for lam in lams]
+    base = min((int(js[0]) for js, _ in windows), default=0)
+    width = max((len(js) for js, _ in windows), default=1)
+    idx = np.zeros((width, len(windows) + 1), dtype=np.intp)
+    ws = np.zeros(idx.shape)
+    for d, (js, w) in enumerate(windows):
+        idx[: len(js), d] = js - base
+        ws[: len(w), d] = w
+    return base, _frozen(idx), _frozen(ws)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -236,31 +272,43 @@ def _check_order(dist: NoncentralChiSq, order: int, name: str) -> None:
         raise ValueError(f"{name} of order {order} needs dof >= {least}, got {dist.dof}")
 
 
-def _mixture_sum(dist: NoncentralChiSq, order: int, cutoff: float = math.inf) -> float:
-    """sum_j w_j P(chi2_{m - 2 order} <= cutoff) / prod_{i=1..order} (m - 2i)
-    over the Poisson window of `dist`, with m = dof + 2j.
+def _per_law(dist: NoncentralChiSq, values: np.ndarray) -> float | np.ndarray:
+    """One value per noncentrality of `dist`: a float for a scalar law."""
+    return float(values[0]) if np.ndim(dist.noncentrality) == 0 else values
 
-    An infinite cutoff skips the incomplete gamma, whose value there is 1.
+
+def _mixture_sum(dist: NoncentralChiSq, order: int, cutoff: float = math.inf) -> np.ndarray:
+    """sum_j w_j P(chi2_{m - 2 order} <= cutoff) / prod_{i=1..order} (m - 2i)
+    over the Poisson window of each noncentrality of `dist`, with m = dof + 2j.
+
+    The incomplete gamma and the denominator depend on j only, so they are
+    evaluated once per index the stack's windows cover and gathered into the
+    table; an infinite cutoff skips the incomplete gamma, whose value there
+    is 1.  Each member's terms are added in index order, and the zero
+    padding past its window leaves its sum unchanged.
     """
-    js, ws = _poisson_weights(dist.noncentrality / 2.0)
-    m = dist.dof + 2.0 * js
-    terms = ws if cutoff == math.inf else ws * gammainc((m - 2.0 * order) / 2.0, cutoff / 2.0)
-    denom = 1.0
+    lams = np.atleast_1d(dist.noncentrality) / 2.0
+    base, idx, ws = _weight_table(tuple(lams.tolist()))
+    m = dist.dof + 2.0 * np.arange(base, base + idx.max() + 1)
+    terms = ws
+    if cutoff != math.inf:
+        terms = ws * gammainc((m - 2.0 * order) / 2.0, cutoff / 2.0).take(idx)
+    denom = np.ones_like(m)
     for i in range(1, order + 1):
         denom = denom * (m - 2.0 * i)
-    return float(np.sum(terms / denom))
+    return np.add.reduce(terms / denom.take(idx), axis=0)[:-1]
 
 
-def noncentral_chisq_cdf(x: float, dist: NoncentralChiSq) -> float:
+def noncentral_chisq_cdf(x: float, dist: NoncentralChiSq) -> float | np.ndarray:
     """P(X <= x) for X ~ NoncentralChiSq, via the Poisson mixture of
     regularized incomplete gamma terms.  Monotone in x and in -noncentrality.
     """
     if x <= 0.0:
-        return 0.0
-    return min(max(_mixture_sum(dist, 0, x), 0.0), 1.0)
+        return _per_law(dist, np.zeros(np.size(dist.noncentrality)))
+    return _per_law(dist, np.clip(_mixture_sum(dist, 0, x), 0.0, 1.0))
 
 
-def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float:
+def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float | np.ndarray:
     """E[X**-order] for X ~ NoncentralChiSq and order in {1, 2}.
 
     Per mixture component with m = dof + 2j degrees of freedom,
@@ -268,10 +316,12 @@ def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float:
     dof >= 3 and dof >= 5 respectively for the moment to exist.
     """
     _check_order(dist, order, "inv_moment")
-    return _mixture_sum(dist, order)
+    return _per_law(dist, _mixture_sum(dist, order))
 
 
-def truncated_inv_moment(dist: NoncentralChiSq, cutoff: float, order: int = 1) -> float:
+def truncated_inv_moment(
+    dist: NoncentralChiSq, cutoff: float, order: int = 1
+) -> float | np.ndarray:
     """E[X**-order * 1{X < cutoff}] for X ~ NoncentralChiSq.
 
     The indicator is on the chi-square variate itself.  Integrating the
@@ -286,5 +336,5 @@ def truncated_inv_moment(dist: NoncentralChiSq, cutoff: float, order: int = 1) -
     """
     _check_order(dist, order, "truncated_inv_moment")
     if cutoff <= 0.0:
-        return 0.0
-    return _mixture_sum(dist, order, cutoff)
+        return _per_law(dist, np.zeros(np.size(dist.noncentrality)))
+    return _per_law(dist, _mixture_sum(dist, order, cutoff))

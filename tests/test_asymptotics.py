@@ -254,28 +254,65 @@ def test_theory_sweep_matches_fresh_alternative_per_delta(tmp_path, capsys, k, r
 
 
 def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch):
-    calls = collections.Counter()
+    calls = collections.Counter()  # wrapped calls
+    evaluated = collections.Counter()  # noncentralities they evaluate
 
     def counting(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if "dist" in kwargs:
+                evaluated[name] += np.size(kwargs["dist"].noncentrality)
             return fn(*args, **kwargs)
 
         return wrapper
 
     for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse"):
         monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
-    monkeypatch.setattr(shrinkage.chi2, "ppf", counting("ppf", shrinkage.chi2.ppf))
+    monkeypatch.setattr(shrinkage, "gammaincinv", counting("ppf", shrinkage.gammaincinv))
     shrinkage._critical_value.cache_clear()
     for sweep in ("a.csv", "b.csv"):  # two calls at the same (alpha, r)
         _theory_sweep(tmp_path, 6, 4, SEED, name=sweep)
-    ncx2 = calls["noncentral_chisq_cdf"] + calls["inv_moment"] + calls["truncated_inv_moment"]
+    names = ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment")
+    ncx2 = sum(evaluated[name] for name in names)
     # per delta: two cdfs at each of the critical value and r - 2, and
     # both plain and truncated inverse moments of orders 1 and 2
     assert ncx2 == 2 * 12 * len(SWEEP_DELTAS)
+    # each quantity in one call per sweep, for the whole grid
+    assert sum(calls[name] for name in names) == 2 * 12
     assert calls["ppf"] == 1
     assert calls["spd_inverse"] == 2  # one geometry per call
+
+
+STACK_DELTAS = (0.0, 0.5, 40.0, 700.0, 5000.0)  # Poisson windows of 1 to about 750 terms
+
+
+@pytest.mark.parametrize("k, r", [(4, 2), (6, 4)])
+def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
+    one = random_alternative(k, r, 1.0, SEED + k)
+    gammas = np.sqrt(STACK_DELTAS)[:, None] * one.gamma
+    stack = one.with_gamma(gammas)
+    fresh = LocalAlternative(gammas, one.fisher, one.restriction)
+    assert stack.delta.shape == (len(STACK_DELTAS),)
+    assert np.array_equal(stack.delta, fresh.delta)
+    assert stack.delta[-1] == pytest.approx(5000.0, rel=1e-10)
+    ests = shrinkage.estimator_names(r)
+    amse = {est: asymptotic_amse(est, stack, alpha=ALPHA) for est in ests}
+    bias = {est: asymptotic_bias(est, stack, alpha=ALPHA) for est in ests if est != "UN"}
+    assert all(a.shape == (len(STACK_DELTAS), k, k) for a in amse.values())
+    assert all(b.shape == (len(STACK_DELTAS), k) for b in bias.values())
+    for i, gamma in enumerate(gammas):
+        alone = one.with_gamma(gamma)
+        assert isinstance(alone.delta, float) and stack.delta[i] == alone.delta
+        for est in ests:
+            assert np.array_equal(amse[est][i], asymptotic_amse(est, alone, alpha=ALPHA))
+            if est != "UN":
+                assert np.array_equal(bias[est][i], asymptotic_bias(est, alone, alpha=ALPHA))
+    assert np.array_equal(asymptotic_amse("PTE", fresh, alpha=ALPHA), amse["PTE"])
+    with pytest.raises(ValueError):
+        one.with_gamma(np.zeros((2, r + 1)))
+    with pytest.raises(ValueError):
+        one.with_gamma(np.zeros((2, 2, r)))
 
 
 # ------------------------------------------------- normal-theory oracle checks

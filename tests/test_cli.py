@@ -1,12 +1,16 @@
 """End-to-end command-line checks via subprocess: exit codes, files, determinism."""
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
+from scipy.stats import chi2
 
 import bellshrink
+from bellshrink import cli
 from bellshrink.cli import _parse_sim_config
 from conftest import simulate_dataset, subprocess_env
 
@@ -97,8 +101,6 @@ def test_estimate_outputs_consistent_selection(data_csv, restriction_file, tmp_p
         table.setdefault(est, {})[coef] = float(value)
         f_stat = float(f)
     assert set(table) == {"UN", "RE", "JSE", "PJSE", "PTE"}
-    from scipy.stats import chi2
-
     crit = chi2.ppf(0.95, 3)
     target = "RE" if f_stat < crit else "UN"
     assert table["PTE"] == table[target]
@@ -358,3 +360,55 @@ def test_child_imports_same_package_from_other_cwd(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).resolve() == Path(bellshrink.__file__).resolve()
+
+
+def test_main_reuses_its_parser_across_calls_in_one_process(data_csv, restriction_file, capsys):
+    """A good call, a usage error at parse time, another subcommand, and the
+    first call again, all in one process, print what fresh processes print."""
+    theory = ["theory", "--restriction", str(restriction_file), "--gamma", "0.5,0,1"]
+    bad_alpha = ["estimate", "--data", str(data_csv), "--response", "y",
+                 "--covariates", COVARIATES, "--restriction", str(restriction_file),
+                 "--alpha", "2"]
+    fit_call = ["fit", "--data", str(data_csv), "--response", "y", "--covariates", COVARIATES]
+    for argv, code in ((theory, 0), (bad_alpha, 1), (fit_call, 0), (theory, 0)):
+        assert cli.main(argv) == code
+        seen = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert fresh.returncode == code
+        assert (seen.out, seen.err) == (fresh.stdout, fresh.stderr)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bellshrink.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("f_stat, shown", [(0.0, "1"), (np.inf, "0")])
+def test_estimate_p_value_at_extreme_statistics(
+    f_stat, shown, data_csv, restriction_file, tmp_path, capsys, monkeypatch
+):
+    real = cli.compute_all
+    monkeypatch.setattr(
+        cli, "compute_all", lambda *a, **kw: dataclasses.replace(real(*a, **kw), f_stat=f_stat)
+    )
+    out = tmp_path / "est.csv"
+    code = cli.main([
+        "estimate", "--data", str(data_csv), "--response", "y", "--covariates", COVARIATES,
+        "--restriction", str(restriction_file), "--out", str(out),
+    ])
+    assert code == 0
+    assert f"p-value = {shown}\n" in capsys.readouterr().out
+    assert {line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]} == {shown}
+
+
+def test_p_value_is_scipy_chi2_survival():
+    xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-8, 1e4, 300)])
+    for r in range(1, 13):
+        assert np.array_equal(chdtrc(r, xs), chi2.sf(xs, r))

@@ -353,6 +353,13 @@ def test_estimate_many_checks_alpha_and_shape():
         estimate_many(model.beta[None, :4], model.fisher_info[None, :4, :4], rest)
 
 
+def test_critical_value_is_scipy_chi2_quantile():
+    for r in range(1, 13):
+        for alpha in np.concatenate([np.geomspace(1e-6, 0.5, 60), np.linspace(0.5, 0.999, 40)]):
+            shrinkage._critical_value.cache_clear()
+            assert shrinkage._critical_value(float(alpha), r) == chi2.ppf(1.0 - alpha, r)
+
+
 def test_pretest_critical_value_cached_and_errors_raised_on_every_call():
     un, re = np.zeros(2), np.ones(2)
     crit = float(chi2.ppf(0.9, 3))

@@ -329,6 +329,43 @@ def test_one_pjse_amse_computes_the_mixture_weights_once():
     H[:, 1 : r + 1] = np.eye(r)
     la = LocalAlternative(np.full(r, 1.7), np.eye(k), LinearRestriction(H, np.zeros(r)))
     special_fn._poisson_weights.cache_clear()
+    special_fn._weight_table.cache_clear()
     asymptotic_amse("PJSE", la, alpha=0.05)
-    info = special_fn._poisson_weights.cache_info()
-    assert info.misses == 1 and info.hits >= 9
+    assert special_fn._poisson_weights.cache_info().misses == 1
+    # the ten mixture sums share one weight table, built on the first
+    table = special_fn._weight_table.cache_info()
+    assert table.misses == 1 and table.hits >= 9
+
+
+STACK_NCS = (0.0, 0.5, 40.0, 700.0, 5000.0)  # windows of 1 to about 750 terms
+
+
+@pytest.mark.parametrize("dof", [1, 3, 4, 6, 9])
+def test_stacked_law_equals_each_member_alone_bitwise(dof):
+    law = NoncentralChiSq(dof, np.array(STACK_NCS))
+    for x in (0.0, 2.5, 41.0, 5000.0):
+        values = noncentral_chisq_cdf(x, law)
+        assert values.shape == (len(STACK_NCS),)
+        for nc, value in zip(STACK_NCS, values):
+            alone = noncentral_chisq_cdf(x, NoncentralChiSq(dof, nc))
+            assert isinstance(alone, float) and value == alone
+    for order in [o for o in (1, 2) if dof >= 2 * o + 1]:  # the moment exists
+        stacked = [inv_moment(law, order)]
+        stacked += [truncated_inv_moment(law, c, order) for c in (-1.0, 1.0, 30.0, 5200.0)]
+        for nc_i, nc in enumerate(STACK_NCS):
+            dist = NoncentralChiSq(dof, nc)
+            alone = [inv_moment(dist, order)]
+            alone += [truncated_inv_moment(dist, c, order) for c in (-1.0, 1.0, 30.0, 5200.0)]
+            assert [v[nc_i] for v in stacked] == alone
+
+
+def test_stacked_law_validation():
+    with pytest.raises(ValueError):
+        NoncentralChiSq(3, np.array([1.0, -0.1]))
+    with pytest.raises(ValueError):
+        NoncentralChiSq(3, np.array([1.0, np.inf]))
+    with pytest.raises(ValueError):
+        NoncentralChiSq(3, np.ones((2, 2)))
+    empty = NoncentralChiSq(3, np.array([]))
+    assert inv_moment(empty).shape == (0,)
+    assert noncentral_chisq_cdf(1.0, empty).shape == (0,)
