@@ -2,16 +2,15 @@
 relative efficiency of the estimator suite.
 
 The bootstrap is a pairs bootstrap: each replication draws `resample_size`
-rows (with replacement by default), refits, recomputes every estimator,
-and accumulates squared errors against a pseudo-truth vector.  The
-bootstrapped relative efficiency is
+rows with replacement, refits, recomputes every estimator, and accumulates
+squared errors against a pseudo-truth vector.  The bootstrapped relative
+efficiency is
 
     BRE(est) = bootSMSE(UN) / bootSMSE(est),
 
-with BRE(UN) = 1 by construction.  The pseudo-truth defaults to the
-full-sample unrestricted estimate, the only data-driven stand-in for the
-unknown coefficient vector; it is configurable for designs where that
-degenerates (for example resampling the full dataset without replacement).
+with BRE(UN) = 1 by construction.  The pseudo-truth is the full-sample
+unrestricted estimate, the only data-driven stand-in for the unknown
+coefficient vector.
 """
 
 from __future__ import annotations
@@ -62,8 +61,6 @@ class BootstrapConfig:
     replications: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    pseudo_truth: np.ndarray | None = None
-    with_replacement: bool = True
 
     def __post_init__(self):
         if self.resample_size < 1:
@@ -74,10 +71,6 @@ class BootstrapConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.pseudo_truth is not None:
-            object.__setattr__(
-                self, "pseudo_truth", np.asarray(self.pseudo_truth, dtype=float).reshape(-1)
-            )
 
 
 @dataclass(frozen=True)
@@ -211,13 +204,10 @@ class _ResampleDraw:
     y: np.ndarray
     seed: int
     n_obs: int
-    with_replacement: bool
 
     where = " of the bootstrap"
 
     def _rows(self, rep: int, attempt: int) -> np.ndarray:
-        if not self.with_replacement:
-            return np.arange(self.y.size)
         seq = np.random.SeedSequence(self.seed, spawn_key=(rep, attempt))
         rng = np.random.Generator(np.random.PCG64(seq))
         return rng.integers(0, self.y.size, size=self.n_obs)
@@ -243,18 +233,12 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
         raise ValueError(
             f"resample_size {cfg.resample_size} exceeds the {data.n_obs} available rows"
         )
-    if not cfg.with_replacement and cfg.resample_size < data.n_obs:
-        raise ValueError("subsampling without replacement is not supported; "
-                         "use resample_size = n or with_replacement=True")
     full = fit(data)
     if not full.converged:
         raise ConvergenceError("the full-sample fit did not converge")
     full_set = compute_all(full, cfg.restriction, cfg.alpha)
-    truth = cfg.pseudo_truth if cfg.pseudo_truth is not None else full.beta
-    if truth.shape != (data.n_params,):
-        raise ValueError(f"pseudo_truth must have shape ({data.n_params},), got {truth.shape}")
     names = estimator_names(cfg.restriction.n_restrictions)
-    draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size, cfg.with_replacement)
+    draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
     _, est, retries = _replicate(
         (draw, list(range(cfg.replications)), cfg.restriction, cfg.alpha, budget)
@@ -274,7 +258,7 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
         )
     draws = {name: est[:, ESTIMATOR_ORDER.index(name)] for name in names}
     smse = {
-        name: float(np.mean(np.sum((draws[name] - truth) ** 2, axis=1))) for name in names
+        name: float(np.mean(np.sum((draws[name] - full.beta) ** 2, axis=1))) for name in names
     }
     rows = []
     for name in names:

@@ -37,7 +37,6 @@ stack of one and keeps the scalar delta, (k,) and (k, k) returns.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +61,10 @@ class LocalAlternative:
     """A restriction drift direction gamma together with the information
     limit F; derived projection quantities are computed once on creation.
 
-    gamma is one drift (r,) or a stack of drifts (D, r).  `with_gamma` moves
-    the drift and keeps the projection quantities, which depend on (F, H)
-    only.  Each noncentral chi-square quantity the estimators need is
-    evaluated once per alternative, for the whole stack, and shared by every
+    gamma is one drift (r,) or a stack of drifts (D, r); a sweep over many
+    drifts is one alternative built with the stack.  Each noncentral
+    chi-square quantity the estimators need is evaluated once per
+    alternative, for the whole stack, and shared by every
     `asymptotic_bias`/`asymptotic_amse` call.
     """
 
@@ -76,13 +75,18 @@ class LocalAlternative:
     kappa: np.ndarray = field(init=False, repr=False)
     kappa0: np.ndarray = field(init=False, repr=False)
     delta: float | np.ndarray = field(init=False)
-    _hfh: np.ndarray = field(init=False, repr=False)  # H F^-1 H'
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         H = self.restriction.H
         r, k = H.shape
-        gamma = _checked_gamma(self.gamma, r)
+        gamma = np.asarray(self.gamma, dtype=float)
+        if gamma.ndim < 2:
+            gamma = gamma.reshape(-1)
+        if gamma.shape[-1:] != (r,) or gamma.ndim > 2:
+            raise ValueError(f"gamma must have shape ({r},) or (D, {r}), got {gamma.shape}")
+        if not np.all(np.isfinite(gamma)):
+            raise ValueError("gamma contains non-finite entries")
         fisher = np.ascontiguousarray(self.fisher, dtype=float)
         if fisher.shape != (k, k):
             raise ValueError(f"fisher must have shape ({k}, {k}), got {fisher.shape}")
@@ -90,21 +94,11 @@ class LocalAlternative:
         self.fisher = fisher
         self.f_inv = spd_inverse(fisher)
         finv_ht = self.f_inv @ H.T
-        self._hfh = H @ finv_ht  # SPD because H has full row rank
-        self.kappa = spd_solve(self._hfh, finv_ht.T).T
+        hfh = H @ finv_ht  # SPD because H has full row rank
+        self.kappa = spd_solve(hfh, finv_ht.T).T
         self.kappa0 = self.kappa @ finv_ht.T
         self.kappa0 = (self.kappa0 + self.kappa0.T) / 2.0
-        self.delta = _noncentrality(self._hfh, gamma)
-
-    def with_gamma(self, gamma) -> LocalAlternative:
-        """The same F and restriction at drift gamma, (r,) or (D, r); the
-        values equal those of `LocalAlternative(gamma, self.fisher,
-        self.restriction)`."""
-        la = copy.copy(self)
-        la.gamma = _checked_gamma(gamma, self.n_restrictions)
-        la.delta = _noncentrality(self._hfh, la.gamma)
-        la._memo = {}
-        return la
+        self.delta = _noncentrality(hfh, gamma)
 
     @property
     def n_restrictions(self) -> int:
@@ -113,17 +107,6 @@ class LocalAlternative:
     @property
     def n_params(self) -> int:
         return self.fisher.shape[0]
-
-
-def _checked_gamma(gamma, r: int) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim < 2:
-        gamma = gamma.reshape(-1)
-    if gamma.shape[-1:] != (r,) or gamma.ndim > 2:
-        raise ValueError(f"gamma must have shape ({r},) or (D, {r}), got {gamma.shape}")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("gamma contains non-finite entries")
-    return gamma
 
 
 def _stacked(la: LocalAlternative, values: np.ndarray) -> np.ndarray:

@@ -64,6 +64,13 @@ logger = logging.getLogger(__name__)
 # A step is halved only when it lowers the clamped kernel by more than this
 # fraction of (1 + |kernel|), so roundoff near the optimum cannot shrink it.
 _KERNEL_RTOL = 1e-11
+# Stop when every entry of the full Newton step is below _TOL; give up after
+# _MAX_ITER iterations; clamp the linear predictor to +-_ETA_BOUND; halve a
+# step at most _MAX_HALVINGS times.
+_TOL = 1e-8
+_MAX_ITER = 100
+_ETA_BOUND = 30.0
+_MAX_HALVINGS = 10
 
 
 def _checked(X, y, *, stacked: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +225,10 @@ class _Point(NamedTuple):
     clipped: np.ndarray
 
 
-def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, eta_bound: float) -> _Point:
+def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Point:
     """The clamped kernel and its ingredients at beta, one Lambert W call."""
     eta = np.matmul(X, beta[..., None])[..., 0]
-    clamped = np.clip(eta, -eta_bound, eta_bound)
+    clamped = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
     excess = clamped - eta
     mu = np.exp(clamped)
     theta = lambert_w0(mu)
@@ -229,40 +236,34 @@ def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, eta_bound: float) 
     return _Point(beta, excess, mu, theta, kern, np.count_nonzero(excess, axis=-1))
 
 
-def _line_search(m: _Members, cur: _Point, step, eta_bound: float, max_halvings: int) -> _Point:
-    """Take the Newton step, halving it (per member, up to max_halvings
+def _line_search(m: _Members, cur: _Point, step) -> _Point:
+    """Take the Newton step, halving it (per member, up to _MAX_HALVINGS
     times) while it lowers the clamped kernel by more than roundoff."""
-    new = _evaluate(m.X, m.y, cur.beta + step, eta_bound)
+    new = _evaluate(m.X, m.y, cur.beta + step)
     floor = cur.kern - _KERNEL_RTOL * (1.0 + np.abs(cur.kern))
     pending = np.flatnonzero(new.kern < floor)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if not pending.size:
             break
         step[pending] /= 2.0
-        trial = _evaluate(m.X[pending], m.y[pending], cur.beta[pending] + step[pending], eta_bound)
+        trial = _evaluate(m.X[pending], m.y[pending], cur.beta[pending] + step[pending])
         for a, b in zip(new, trial):
             a[pending] = b
         pending = pending[trial.kern < floor[pending]]
     return new
 
 
-def fit_many(
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    eta_bound: float = 30.0,
-    max_halvings: int = 10,
-) -> list[FittedModel | None]:
+def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
     """Fit R datasets of one shape at once: X (R, n, k), y (R, n).
 
     Each (X[i], y[i]) must pass the checks of Dataset, else ValueError.
     Returns one FittedModel per member, or None for a singular member: one
     whose design is rank deficient, or whose information matrix
     `linalg.spd_solve_stack` flags.  Members run the IRLS of `fit` side by
-    side, with one batched solve per iteration, and leave the stack as they
-    converge; a member's result does not depend on which others share it.
+    side, with its fixed tolerance (1e-8), iteration cap (100), clamp
+    (|eta| <= 30) and halving count (10) and one batched solve per
+    iteration, and leave the stack as they converge; a member's result does
+    not depend on which others share it.
     """
     X, counts = _checked(X, y, stacked=True)
     models: list[FittedModel | None] = [None] * X.shape[0]
@@ -275,15 +276,15 @@ def fit_many(
     if not keep.all():
         m, U, sv, Vt = _take(m, keep), U[keep], sv[keep], Vt[keep]
     coef = (np.log(m.y + 0.5)[:, None, :] @ U)[:, 0] / sv
-    cur = _evaluate(m.X, m.y, (coef[:, None, :] @ Vt)[:, 0], eta_bound)
+    cur = _evaluate(m.X, m.y, (coef[:, None, :] @ Vt)[:, 0])
     done = np.zeros(m.ids.size, dtype=bool)
-    for n_iter in range(max_iter + 1):
+    for n_iter in range(_MAX_ITER + 1):
         Xt = m.X.transpose(0, 2, 1)
         one_plus = 1.0 + cur.theta
         v = cur.mu / one_plus
         resid = (m.y - cur.mu) / one_plus
         info = Xt @ (m.X * v[..., None])
-        stop = done if n_iter < max_iter else np.ones_like(done)
+        stop = done if n_iter < _MAX_ITER else np.ones_like(done)
         if stop.any():
             fin = np.flatnonzero(stop)
             ll = cur.kern[fin] + _bell_constants(m.counts[fin])
@@ -311,7 +312,7 @@ def fit_many(
             break
         if cur.clipped.any():
             m.n_clamped[:] += cur.clipped
-            logger.debug("clamped %d linear predictors at |eta| = %g", cur.clipped.sum(), eta_bound)
+            logger.debug("clamped %d linear predictors at |eta| = %g", cur.clipped.sum(), _ETA_BOUND)
         # The IRLS target F^-1 X'V (clip(eta) + (y - mu)/mu) less beta, as
         # F^-1 X'(V (clip(eta) - eta) + (y - mu)/(1 + theta)): beta cancels
         # before the solve, so its roundoff cannot swamp a small step on a
@@ -322,40 +323,26 @@ def fit_many(
             m, cur, step = _take(m, ok), _take(cur, ok), step[ok]
             if not m.ids.size:
                 break
-        done = np.max(np.abs(step), axis=-1) < tol
-        cur = _line_search(m, cur, step, eta_bound, max_halvings)
+        done = np.max(np.abs(step), axis=-1) < _TOL
+        cur = _line_search(m, cur, step)
     return models
 
 
-def fit(
-    data: Dataset,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    eta_bound: float = 30.0,
-    max_halvings: int = 10,
-) -> FittedModel:
+def fit(data: Dataset) -> FittedModel:
     """Fit by IRLS from a least-squares start on log(y + 0.5): `fit_many`
     on a stack of one.
 
-    The linear predictor is clamped to [-eta_bound, eta_bound] inside
-    iterations (clamp events are counted and logged); a step that lowers
-    the clamped kernel by more than roundoff is halved up to max_halvings
-    times.  Convergence takes max|step| < tol on the full Newton step, a
-    fitted point with no clamped linear predictor, and a score norm below
-    1e-6 * (1 + |loglik|); anything else, including data with no finite
-    MLE, returns converged=False rather than raising.  A rank-deficient
-    design or an information matrix that fails the Cholesky solve raises
-    SingularMatrixError.
+    The linear predictor is clamped to [-30, 30] inside iterations (clamp
+    events are counted and logged); a step that lowers the clamped kernel
+    by more than roundoff is halved up to 10 times.  Convergence takes
+    max|step| < 1e-8 on the full Newton step, a fitted point with no
+    clamped linear predictor, and a score norm below 1e-6 * (1 + |loglik|);
+    a fit still running after 100 iterations stops there.  Anything else,
+    including data with no finite MLE, returns converged=False rather than
+    raising.  A rank-deficient design or an information matrix that fails
+    the Cholesky solve raises SingularMatrixError.
     """
-    model = fit_many(
-        data.X[None],
-        data.y[None],
-        tol=tol,
-        max_iter=max_iter,
-        eta_bound=eta_bound,
-        max_halvings=max_halvings,
-    )[0]
+    model = fit_many(data.X[None], data.y[None])[0]
     if model is None:
         raise SingularMatrixError("design is rank deficient or information is singular")
     return model

@@ -59,11 +59,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
         vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        if all(math.isfinite(v) for v in vals):
+        if vals and all(math.isfinite(v) for v in vals):
             return vals
     except ValueError:
         pass
-    raise UsageError(f"{what} must be a comma-separated list of finite numbers, got {text!r}")
+    raise UsageError(
+        f"{what} must be a nonempty comma-separated list of finite numbers, got {text!r}"
+    )
 
 
 def _alpha(text: str) -> float:
@@ -165,6 +167,19 @@ def _load(args):
     return load_dataset(args.data, args.response, covs)
 
 
+def _load_restricted(args):
+    """The data, its summary and a restriction with one column per
+    coefficient (intercept plus --covariates)."""
+    data, summary = _load(args)
+    rest = load_restriction(args.restriction)
+    if rest.H.shape[1] != data.n_params:
+        raise UsageError(
+            f"--restriction has {rest.H.shape[1]} columns; the intercept and "
+            f"{data.n_params - 1} covariate(s) need {data.n_params}"
+        )
+    return data, summary, rest
+
+
 def _coef_names(summary) -> tuple[str, ...]:
     return ("intercept", *summary.covariate_columns)
 
@@ -195,8 +210,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    data, summary = _load(args)
-    rest = load_restriction(args.restriction)
+    data, summary, rest = _load_restricted(args)
     model = fit(data)
     if not model.converged:
         raise ConvergenceError(f"fit did not converge in {model.n_iter} iterations")
@@ -320,24 +334,29 @@ def _parse_sim_config(path) -> dict:
             val = val.strip()
             if key not in _SIM_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {sorted(_SIM_KEYS)})")
+            if key in values:
+                first = values[key][1]
+                raise UsageError(f"{path}:{lineno}: key {key!r} already set on line {first}")
             values[key] = (val, lineno)
     for required in ("n", "p", "tau"):
         if required not in values:
             raise UsageError(f"{path}: missing required key {required!r}")
 
-    def ints(key):
+    def listed(key, cast, what):
         val, lineno = values[key]
         try:
-            return [int(tok) for tok in val.split(",") if tok.strip()]
+            vals = [cast(tok) for tok in val.split(",") if tok.strip()]
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: {key} must be comma-separated integers") from None
+            raise UsageError(f"{path}:{lineno}: {key} must be comma-separated {what}") from None
+        if not vals:
+            raise UsageError(f"{path}:{lineno}: {key} needs at least one value")
+        return vals
 
-    out = {"n": ints("n"), "p": ints("p")}
-    val, lineno = values["tau"]
-    try:
-        out["tau"] = [float(tok) for tok in val.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"{path}:{lineno}: tau must be comma-separated numbers") from None
+    out = {
+        "n": listed("n", int, "integers"),
+        "p": listed("p", int, "integers"),
+        "tau": listed("tau", float, "numbers"),
+    }
     for key, cast in (("replications", int), ("alpha", float), ("seed", int)):
         if key in values:
             val, lineno = values[key]
@@ -396,8 +415,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    data, summary = _load(args)
-    rest = load_restriction(args.restriction)
+    data, summary, rest = _load_restricted(args)
+    if args.resample_size > data.n_obs:
+        raise UsageError(
+            f"--resample-size {args.resample_size} exceeds the {data.n_obs} rows of --data"
+        )
     try:
         cfg = BootstrapConfig(
             restriction=rest,

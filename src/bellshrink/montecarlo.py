@@ -72,7 +72,6 @@ class SimConfig:
     replications: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    true_beta: np.ndarray | None = None
     fixed_design: bool = False
 
     def __post_init__(self):
@@ -105,14 +104,11 @@ class SimConfig:
                 )
             first[key] = t
         object.__setattr__(self, "tau_grid", taus)
-        beta = self.true_beta
-        if beta is None:
-            beta = np.concatenate([[0.0], np.ones(self.p)])
-        else:
-            beta = np.asarray(beta, dtype=float)
-            if beta.shape != (self.p + 1,):
-                raise ValueError(f"true_beta must have shape ({self.p + 1},), got {beta.shape}")
-        object.__setattr__(self, "true_beta", beta)
+
+    @property
+    def true_beta(self) -> np.ndarray:
+        """The generating truth (0, 1, ..., 1)."""
+        return np.concatenate([[0.0], np.ones(self.p)])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from bellshrink.application import (
     model_comparison,
     write_bre_csv,
 )
+from bellshrink.bell_glm import fit
 from bellshrink.shrinkage import LinearRestriction
 from conftest import simulate_dataset
 from oracles import load_dataset_rowwise
@@ -235,11 +236,10 @@ def test_load_dataset_duplicate_header_uses_last_column(tmp_path):
 # ------------------------------------------------------------------ bootstrap
 
 
-@pytest.mark.parametrize("with_replacement", [True, False])
-def test_stacked_resample_equals_per_replication_resample(with_replacement):
+def test_stacked_resample_equals_per_replication_resample():
     data = synthetic_restricted_data(60, np.array([0.3, 0.0, 0.4]), SEED)
-    n_obs = 40 if with_replacement else 60
-    draw = _ResampleDraw(data.X, data.y, SEED, n_obs, with_replacement)
+    n_obs = 40
+    draw = _ResampleDraw(data.X, data.y, SEED, n_obs)
     reps = [5, 1, 12, 0]
     for attempt in (0, 3):
         X, y = draw.stack(reps, attempt)
@@ -256,7 +256,7 @@ def test_resample_rows_are_the_rows_of_choice_with_replacement(seed):
     # replace=True), so bootstrap outputs keep the rows choice gave them.
     for n_rows, n_obs in [(1, 3), (7, 7), (60, 40), (1000, 50), (2**40, 9)]:
         y = np.broadcast_to(0, (n_rows,))  # only its size is read
-        draw = _ResampleDraw(y[:, None], y, seed, n_obs, True)
+        draw = _ResampleDraw(y[:, None], y, seed, n_obs)
         for rep, attempt in [(0, 0), (1, 0), (12, 3), (299, 1)]:
             seq = np.random.SeedSequence(seed, spawn_key=(rep, attempt))
             rows = np.random.Generator(np.random.PCG64(seq)).choice(n_rows, n_obs, replace=True)
@@ -332,32 +332,6 @@ def test_bootstrap_csv_independent_of_stack_size(monkeypatch, tmp_path):
     assert len(blobs) == 1
 
 
-def test_bootstrap_degenerate_full_resample_without_replacement():
-    beta = np.array([0.4, 0.0, 0.3])
-    data = synthetic_restricted_data(90, beta, SEED + 3)
-    rest = selection_restriction(3, [1])
-    cfg = BootstrapConfig(
-        restriction=rest,
-        resample_size=90,
-        replications=1,
-        seed=SEED + 3,
-        with_replacement=False,
-        pseudo_truth=np.zeros(3),
-    )
-    report = bootstrap_bre(data, cfg)
-    # every replication refits the full dataset, so answers coincide with
-    # the full-sample estimators and the ratios are plain squared-norm ratios
-    from bellshrink.bell_glm import fit
-    from bellshrink.shrinkage import compute_all
-
-    est = compute_all(fit(data), rest, cfg.alpha)
-    by_name = {row.name: row for row in report.rows}
-    np.testing.assert_allclose(by_name["UN"].coefficients, est.un, atol=0)
-    expected_re_bre = (est.un @ est.un) / (est.re @ est.re)
-    assert by_name["RE"].bre == pytest.approx(expected_re_bre, rel=1e-12)
-    assert np.all(by_name["UN"].se == 0.0)  # single replication, ddof guard
-
-
 def test_bootstrap_resample_size_cannot_exceed_data():
     beta = np.array([0.4, 0.0, 0.3])
     data = synthetic_restricted_data(50, beta, SEED + 4)
@@ -379,6 +353,10 @@ def test_bootstrap_subsample_size_runs():
     assert report.replications == 200
     by_name = {row.name: row for row in report.rows}
     assert by_name["UN"].bre == 1.0
+    # the reported coefficients are the full-sample estimators
+    np.testing.assert_allclose(by_name["UN"].coefficients, fit(data).beta, atol=0)
+    single = bootstrap_bre(data, dataclasses.replace(cfg, replications=1))
+    assert all(np.all(row.se == 0.0) for row in single.rows)  # ddof guard
 
 
 # ------------------------------------------------------------------ reporting

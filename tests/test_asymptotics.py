@@ -85,6 +85,8 @@ def test_local_alternative_validation():
         LocalAlternative(gamma=np.zeros(2), fisher=np.eye(5), restriction=rest)
     with pytest.raises(ValueError):
         LocalAlternative(gamma=np.zeros(3), fisher=np.eye(4), restriction=rest)
+    with pytest.raises(ValueError):
+        LocalAlternative(gamma=np.full(3, np.nan), fisher=np.eye(5), restriction=rest)
 
 
 # -------------------------------------------------------------------- biases
@@ -190,30 +192,6 @@ def test_amse_matrices_symmetric():
 # -------------------------------------------------------------- theory sweep
 
 
-def test_with_gamma_equals_a_fresh_alternative():
-    la = random_alternative(6, 4, 2.0, SEED)
-    before = {est: asymptotic_amse(est, la, alpha=ALPHA) for est in ESTIMATOR_ORDER}
-    gamma = np.array([0.3, -1.2, 0.0, 2.5])
-    moved = la.with_gamma(gamma)
-    fresh = LocalAlternative(gamma, la.fisher, la.restriction)
-    for name in ("gamma", "f_inv", "kappa", "kappa0"):
-        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
-    assert moved.delta == fresh.delta
-    for est in ESTIMATOR_ORDER:
-        assert np.array_equal(asymptotic_amse(est, moved, alpha=ALPHA),
-                              asymptotic_amse(est, fresh, alpha=ALPHA))
-        if est != "UN":
-            assert np.array_equal(asymptotic_bias(est, moved, alpha=ALPHA),
-                                  asymptotic_bias(est, fresh, alpha=ALPHA))
-        # the original keeps its own drift and values
-        assert np.array_equal(asymptotic_amse(est, la, alpha=ALPHA), before[est])
-    assert la.delta == pytest.approx(2.0, rel=1e-10)
-    with pytest.raises(ValueError):
-        la.with_gamma(np.zeros(3))
-    with pytest.raises(ValueError):
-        la.with_gamma(np.full(4, np.nan))
-
-
 SWEEP_DELTAS = (0.0, 0.5, 3.0, 40.0, 700.0)
 SWEEP_ALPHA = 0.1
 
@@ -291,7 +269,7 @@ STACK_DELTAS = (0.0, 0.5, 40.0, 700.0, 5000.0)  # Poisson windows of 1 to about 
 def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
     one = random_alternative(k, r, 1.0, SEED + k)
     gammas = np.sqrt(STACK_DELTAS)[:, None] * one.gamma
-    stack = one.with_gamma(gammas)
+    stack = LocalAlternative(gammas, one.fisher, one.restriction)
     fresh = LocalAlternative(gammas, one.fisher, one.restriction)
     assert stack.delta.shape == (len(STACK_DELTAS),)
     assert np.array_equal(stack.delta, fresh.delta)
@@ -302,7 +280,7 @@ def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
     assert all(a.shape == (len(STACK_DELTAS), k, k) for a in amse.values())
     assert all(b.shape == (len(STACK_DELTAS), k) for b in bias.values())
     for i, gamma in enumerate(gammas):
-        alone = one.with_gamma(gamma)
+        alone = LocalAlternative(gamma, one.fisher, one.restriction)
         assert isinstance(alone.delta, float) and stack.delta[i] == alone.delta
         for est in ests:
             assert np.array_equal(amse[est][i], asymptotic_amse(est, alone, alpha=ALPHA))
@@ -310,9 +288,9 @@ def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
                 assert np.array_equal(bias[est][i], asymptotic_bias(est, alone, alpha=ALPHA))
     assert np.array_equal(asymptotic_amse("PTE", fresh, alpha=ALPHA), amse["PTE"])
     with pytest.raises(ValueError):
-        one.with_gamma(np.zeros((2, r + 1)))
+        LocalAlternative(np.zeros((2, r + 1)), one.fisher, one.restriction)
     with pytest.raises(ValueError):
-        one.with_gamma(np.zeros((2, 2, r)))
+        LocalAlternative(np.zeros((2, 2, r)), one.fisher, one.restriction)
 
 
 # ------------------------------------------------- normal-theory oracle checks

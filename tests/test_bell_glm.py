@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from bellshrink import bell_glm
 from bellshrink.bell_dist import BellParam, log_pmf
 from bellshrink.bell_glm import (
     Dataset,
@@ -203,9 +204,10 @@ def test_fisher_info_symmetric_positive_definite():
     assert np.all(eigvals > 0)
 
 
-def test_nonconvergence_is_flagged_not_raised():
+def test_nonconvergence_is_flagged_not_raised(monkeypatch):
     data = simulate_dataset(100, [0.5, 0.3, -0.2], SEED + 12)
-    model = fit(data, max_iter=1)
+    monkeypatch.setattr(bell_glm, "_MAX_ITER", 1)
+    model = fit(data)
     assert not model.converged
     assert np.all(np.isfinite(model.beta))
 

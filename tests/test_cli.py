@@ -254,6 +254,26 @@ def test_simulate_rejects_invalid_design_before_running(tmp_path, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("n =\np = 3\ntau = 0\nreplications = 2\n", ":1: n needs at least one value"),
+        ("n = 50\np = ,\ntau = 0\nreplications = 2\n", ":2: p needs at least one value"),
+        ("n = 50\np = 3\nreplications = 2\ntau = 0\nreplications = 3\n",
+         ":5: key 'replications' already set on line 3"),
+    ],
+)
+def test_simulate_config_empty_list_or_repeated_key_is_usage_error(tmp_path, text, where):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: usage: {cfg}{where}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- bootstrap
 
 
@@ -314,8 +334,19 @@ def test_bad_count_data_is_numerical_error(tmp_path):
         ["theory", "--restriction", "{rest}", "--delta-grid", "1,nan"],
         ["theory", "--restriction", "{rest}", "--gamma", "0,inf,0"],
         ["theory", "--restriction", "{rest}", "--delta-grid", "1", "--direction", "1,nan,0"],
+        ["theory", "--restriction", "{rest}", "--delta-grid", ","],
+        ["theory", "--restriction", "{rest}", "--delta-grid", ""],
         ["estimate", *"--data {data} --response y --covariates x1".split(),
          "--restriction", "{rest1}", "--alpha", "2"],
+        # the restriction's columns must match the intercept plus covariates
+        ["estimate", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest}"],
+        ["estimate", *"--data {data} --response y --covariates x1,x2,x3,x4".split(),
+         "--restriction", "{rest1}"],
+        ["bootstrap", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest}"],
+        ["bootstrap", *"--data {data} --response y --covariates x1".split(),
+         "--restriction", "{rest1}", "--resample-size", "500"],
         ["bootstrap", *"--data {data} --response y --covariates x1".split(),
          "--restriction", "{rest1}", "--replications", "0"],
         ["bootstrap", *"--data {data} --response y --covariates x1".split(),
