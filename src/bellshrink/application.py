@@ -1,5 +1,5 @@
-"""Real-data pipeline: CSV ingestion, model comparison, and bootstrap
-relative efficiency of the estimator suite.
+"""Real-data pipeline: CSV ingestion and bootstrap relative efficiency of
+the estimator suite, with the full-vs-restricted AIC comparison.
 
 The bootstrap is a pairs bootstrap: each replication draws `resample_size`
 rows with replacement, refits, recomputes every estimator, and accumulates
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
-from .linalg import spd_inverse
 from .montecarlo import ConvergenceError, _fmt, _replicate, write_lines
 from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, compute_all, estimator_names
 
@@ -85,6 +84,8 @@ class EstimatorRow:
 class BREReport:
     rows: tuple[EstimatorRow, ...]
     f_stat: float
+    aic_full: float
+    aic_restricted: float  # the restricted estimate's AIC, k - r free parameters
     n_retry: int
     replications: int
     coef_names: tuple[str, ...]
@@ -212,10 +213,6 @@ class _ResampleDraw:
         rng = np.random.Generator(np.random.PCG64(seq))
         return rng.integers(0, self.y.size, size=self.n_obs)
 
-    def __call__(self, rep: int, attempt: int) -> Dataset:
-        idx = self._rows(rep, attempt)
-        return Dataset(self.X[idx], self.y[idx])
-
     def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         """The resamples of reps on one attempt as X (m, n_obs, k) and
         y (m, n_obs), gathered with one (m, n_obs) index array."""
@@ -228,7 +225,9 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
 
     Replications whose refit fails are redrawn from a fresh substream and
     counted; more than 10% failures aborts.  Restricted refits are checked
-    against the restriction itself on every replication."""
+    against the restriction itself on every replication.  The report also
+    carries the full-sample Wald statistic and the AIC of the full and
+    restricted fits."""
     if cfg.resample_size > data.n_obs:
         raise ValueError(
             f"resample_size {cfg.resample_size} exceeds the {data.n_obs} available rows"
@@ -285,6 +284,9 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     return BREReport(
         rows=tuple(rows),
         f_stat=full_set.f_stat,
+        aic_full=aic(full),
+        aic_restricted=2.0 * (data.n_params - cfg.restriction.n_restrictions)
+        - 2.0 * loglik(full_set.re, data),
         n_retry=retries,
         replications=cfg.replications,
         coef_names=coef_names,
@@ -298,21 +300,3 @@ def write_bre_csv(report: BREReport, path) -> None:
         for name, est, se in zip(report.coef_names, row.coefficients, row.se):
             lines.append(f"{row.name},{name},{_fmt(est)},{_fmt(se)},{_fmt(row.bre)}")
     write_lines(path, lines)
-
-
-def model_comparison(data: Dataset, rest: LinearRestriction, alpha: float = 0.05):
-    """Full-vs-restricted AIC comparison plus the Wald statistic, returned
-    as a small dict for reporting."""
-    full = fit(data)
-    est_set = compute_all(full, rest, alpha)
-    ll_re = loglik(est_set.re, data)
-    k = data.n_params
-    return {
-        "loglik_full": full.loglik,
-        "loglik_restricted": ll_re,
-        "aic_full": aic(full),
-        "aic_restricted": 2.0 * (k - rest.n_restrictions) - 2.0 * ll_re,
-        "f_stat": est_set.f_stat,
-        "converged": full.converged,
-        "se_full": np.sqrt(np.diag(spd_inverse(full.fisher_info))),
-    }

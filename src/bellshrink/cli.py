@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: fit, estimate, theory, simulate, bootstrap.  Exit codes:
-0 success, 1 usage error (bad flags, missing files, malformed config),
+0 success, 1 usage error (bad flags, missing files, malformed config,
+restriction or Fisher file),
 2 numerical failure (non-convergence, singular systems, bad data values).
 Every failure prints a one-line machine-parseable `error: <category>: ...`
 to stderr, followed by any longer detail.
@@ -21,9 +22,9 @@ from scipy.special import chdtrc
 from .application import (
     BootstrapConfig,
     DataFormatError,
+    _numpy_float,
     bootstrap_bre,
     load_dataset,
-    model_comparison,
     write_bre_csv,
 )
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
@@ -167,11 +168,22 @@ def _load(args):
     return load_dataset(args.data, args.response, covs)
 
 
+def _restriction(path):
+    """The restriction of a --restriction file; a malformed file is a usage
+    error that names it."""
+    try:
+        return load_restriction(path)
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _load_restricted(args):
     """The data, its summary and a restriction with one column per
     coefficient (intercept plus --covariates)."""
     data, summary = _load(args)
-    rest = load_restriction(args.restriction)
+    rest = _restriction(args.restriction)
     if rest.H.shape[1] != data.n_params:
         raise UsageError(
             f"--restriction has {rest.H.shape[1]} columns; the intercept and "
@@ -237,10 +249,24 @@ def _cmd_estimate(args) -> int:
 
 
 def _read_fisher(path, k: int) -> np.ndarray:
-    mat = np.loadtxt(path, delimiter=",", ndmin=2)
-    if mat.shape != (k, k):
-        raise UsageError(f"--fisher must be a {k}x{k} matrix, got shape {mat.shape}")
-    return mat
+    """The k x k matrix of a --fisher file: one row per line, entries
+    separated by commas in numpy's float syntax, '#' starting a comment.
+    A malformed file is a usage error that names it."""
+    rows = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0]
+                if line.strip():
+                    try:
+                        rows.append([_numpy_float(tok) for tok in line.split(",")])
+                    except ValueError:
+                        raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise UsageError(f"{path}: --fisher must be a {k}x{k} matrix")
+    return np.array(rows)
 
 
 def _theory_values(la: LocalAlternative, ests, alpha):
@@ -253,7 +279,7 @@ def _theory_values(la: LocalAlternative, ests, alpha):
 
 
 def _cmd_theory(args) -> int:
-    rest = load_restriction(args.restriction)
+    rest = _restriction(args.restriction)
     r, k = rest.H.shape
     fisher = _read_fisher(args.fisher, k) if args.fisher else np.eye(k)
     if (args.gamma is None) == (args.delta_grid is None):
@@ -317,7 +343,7 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
-_SIM_KEYS = {"n", "p", "tau", "replications", "alpha", "seed", "fixed_design"}
+_SIM_KEYS = {"n", "p", "tau", "replications", "alpha", "seed"}
 
 
 def _parse_sim_config(path) -> dict:
@@ -364,12 +390,6 @@ def _parse_sim_config(path) -> dict:
                 out[key] = cast(val)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: {key} must be a {cast.__name__}") from None
-    if "fixed_design" in values:
-        val, lineno = values["fixed_design"]
-        low = val.lower()
-        if low not in ("true", "false", "0", "1", "yes", "no"):
-            raise UsageError(f"{path}:{lineno}: fixed_design must be a boolean")
-        out["fixed_design"] = low in ("true", "1", "yes")
     return out
 
 
@@ -389,7 +409,6 @@ def _cmd_simulate(args) -> int:
                 replications=raw.get("replications", 1000),
                 alpha=raw.get("alpha", 0.05),
                 seed=seed,
-                fixed_design=raw.get("fixed_design", False),
             )
             for n in raw["n"]
             for p in raw["p"]
@@ -433,13 +452,11 @@ def _cmd_bootstrap(args) -> int:
     print(
         f"n = {summary.n_rows} rows; overdispersion ratio {summary.overdispersion:.6g}"
     )
-    comparison = model_comparison(data, rest, args.alpha)
-    print(
-        f"AIC full = {_fmt(comparison['aic_full'])}, "
-        f"restricted = {_fmt(comparison['aic_restricted'])}; "
-        f"F_n = {_fmt(comparison['f_stat'])}"
-    )
     report = bootstrap_bre(data, cfg, coef_names=_coef_names(summary))
+    print(
+        f"AIC full = {_fmt(report.aic_full)}, restricted = {_fmt(report.aic_restricted)}; "
+        f"F_n = {_fmt(report.f_stat)}"
+    )
     _print_table(
         ["estimator", "bre", *report.coef_names],
         [

@@ -52,7 +52,6 @@ __all__ = [
 _RATIO_ESTIMATORS = ESTIMATOR_ORDER[1:]
 _MAX_ATTEMPTS_PER_REP = 20
 _MAX_FAILURE_RATE = 0.05
-_DESIGN_STREAM = 0x5EED_DE51  # substream reserved for a shared fixed design
 # Cap on the entries of X (members * n * k) fitted as one stack; bounds the
 # engine's working memory at a few arrays of this size.
 _STACK_ELEMENTS = 1 << 18
@@ -72,7 +71,6 @@ class SimConfig:
     replications: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    fixed_design: bool = False
 
     def __post_init__(self):
         if self.p < _MIN_JS_RESTRICTIONS:
@@ -148,14 +146,8 @@ def generate_dataset(n: int, p: int, true_beta, rng: np.random.Generator) -> Dat
     X = np.empty((n, p + 1))
     X[:, 0] = 1.0
     X[:, 1:] = rng.standard_normal((n, p))
-    return _dataset_for_design(X, true_beta, rng)
-
-
-def _dataset_for_design(X: np.ndarray, true_beta: np.ndarray, rng) -> Dataset:
-    mu = np.exp(X @ true_beta)
-    theta = lambert_w0(mu)
-    y = sample_counts(theta, rng)
-    return Dataset(X, y)
+    theta = lambert_w0(np.exp(X @ true_beta))
+    return Dataset(X, sample_counts(theta, rng))
 
 
 def _tau_key(tau: float) -> int:
@@ -170,43 +162,33 @@ def _substream(seed: int, n: int, p: int, tau: float, rep: int, attempt: int):
 
 @dataclass(frozen=True)
 class _SimDraw:
-    """Draws the dataset of one (replication, attempt) of a grid point."""
+    """Draws the datasets of a grid point's replications."""
 
     seed: int
     n_obs: int
     p: int
     tau: float
     true_beta: np.ndarray
-    fixed_X: np.ndarray | None
 
     @property
     def where(self) -> str:
         return f" at (n={self.n_obs}, p={self.p}, tau={self.tau})"
 
-    def __call__(self, rep: int, attempt: int) -> Dataset:
-        rng = _substream(self.seed, self.n_obs, self.p, self.tau, rep, attempt)
-        if self.fixed_X is None:
-            return generate_dataset(self.n_obs, self.p, self.true_beta, rng)
-        return _dataset_for_design(self.fixed_X, self.true_beta, rng)
-
     def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         """The datasets of reps on one attempt as X (m, n, k) and y (m, n),
-        bit for bit those of self(rep, attempt): each substream draws its
-        covariates and then its counts, and theta comes from one Lambert W
-        call, which is element-wise."""
+        bit for bit those `generate_dataset` draws from each replication's
+        (rep, attempt) substream: each substream draws its covariates and
+        then its counts, and theta comes from one Lambert W call, which is
+        element-wise."""
         n, p = self.n_obs, self.p
         rngs = [_substream(self.seed, n, p, self.tau, rep, attempt) for rep in reps]
         X = np.empty((len(rngs), n, p + 1))
-        if self.fixed_X is None:
-            X[..., 0] = 1.0
-            eta = np.empty((len(rngs), n))
-            for x, e, rng in zip(X, eta, rngs):
-                x[:, 1:] = rng.standard_normal((n, p))
-                e[:] = x @ self.true_beta
-        else:
-            X[:] = self.fixed_X
-            eta = self.fixed_X @ self.true_beta
-        theta = np.broadcast_to(lambert_w0(np.exp(eta)), (len(rngs), n))
+        X[..., 0] = 1.0
+        eta = np.empty((len(rngs), n))
+        for x, e, rng in zip(X, eta, rngs):
+            x[:, 1:] = rng.standard_normal((n, p))
+            e[:] = x @ self.true_beta
+        theta = lambert_w0(np.exp(eta))
         y = np.stack([sample_counts(t, rng) for t, rng in zip(theta, rngs)])
         return X, y
 
@@ -276,13 +258,7 @@ def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
 
 def _grid_point(cfg: SimConfig, tau: float, threads: int) -> GridPointResult:
     rest = build_restriction(cfg.p, tau)
-    fixed_X = None
-    if cfg.fixed_design:
-        rng = _substream(cfg.seed, cfg.n, cfg.p, tau, _DESIGN_STREAM, 0)
-        fixed_X = np.empty((cfg.n, cfg.p + 1))
-        fixed_X[:, 0] = 1.0
-        fixed_X[:, 1:] = rng.standard_normal((cfg.n, cfg.p))
-    draw = _SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta, fixed_X)
+    draw = _SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta)
     budget = _MAX_FAILURE_RATE * cfg.replications
     reps = list(range(cfg.replications))
     if threads <= 1 or cfg.replications < 2 * threads:

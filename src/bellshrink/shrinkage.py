@@ -94,7 +94,8 @@ def load_restriction(path) -> LinearRestriction:
 
     One row per line: the entries of that row of H, whitespace-separated,
     then a '|', then the corresponding entry of h.  Blank lines and lines
-    starting with '#' are skipped.
+    starting with '#' are skipped.  A malformed file raises ValueError
+    naming the path, and the line where one line is at fault.
     """
     rows = []
     rhs = []
@@ -121,7 +122,10 @@ def load_restriction(path) -> LinearRestriction:
             rhs.append(val)
     if not rows:
         raise ValueError(f"{path}: no restriction rows found")
-    return LinearRestriction(np.array(rows), np.array(rhs))
+    try:
+        return LinearRestriction(np.array(rows), np.array(rhs))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

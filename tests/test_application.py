@@ -1,4 +1,4 @@
-"""Data-pipeline checks: CSV ingestion, bootstrap efficiency, model comparison."""
+"""Data-pipeline checks: CSV ingestion, bootstrap efficiency and its AIC comparison."""
 import dataclasses
 
 import numpy as np
@@ -13,11 +13,10 @@ from bellshrink.application import (
     _ResampleDraw,
     bootstrap_bre,
     load_dataset,
-    model_comparison,
     write_bre_csv,
 )
-from bellshrink.bell_glm import fit
-from bellshrink.shrinkage import LinearRestriction
+from bellshrink.bell_glm import Dataset, fit, loglik
+from bellshrink.shrinkage import LinearRestriction, compute_all
 from conftest import simulate_dataset
 from oracles import load_dataset_rowwise
 
@@ -245,7 +244,9 @@ def test_stacked_resample_equals_per_replication_resample():
         X, y = draw.stack(reps, attempt)
         assert X.shape == (len(reps), n_obs, 3) and y.shape == (len(reps), n_obs)
         for i, rep in enumerate(reps):
-            one = draw(rep, attempt)
+            seq = np.random.SeedSequence(SEED, spawn_key=(rep, attempt))
+            idx = np.random.Generator(np.random.PCG64(seq)).choice(data.n_obs, n_obs, replace=True)
+            one = Dataset(data.X[idx], data.y[idx])
             np.testing.assert_array_equal(X[i], one.X)
             np.testing.assert_array_equal(y[i], one.y)
 
@@ -376,13 +377,15 @@ def test_write_bre_csv_layout(tmp_path):
     assert lines[1].startswith("UN,intercept,")
 
 
-def test_model_comparison_prefers_restricted_when_restriction_true():
+def test_bootstrap_report_prefers_restricted_aic_when_restriction_true():
     beta = np.array([0.4, 0.0, 0.3, 0.0])
     data = synthetic_restricted_data(400, beta, SEED + 7)
     rest = selection_restriction(4, [1, 3])
-    out = model_comparison(data, rest)
-    assert out["converged"]
-    assert out["f_stat"] >= 0.0
-    assert out["aic_restricted"] < out["aic_full"]
-    assert out["loglik_full"] >= out["loglik_restricted"]
-    assert out["se_full"].shape == (4,)
+    cfg = BootstrapConfig(restriction=rest, resample_size=100, replications=5, seed=SEED)
+    report = bootstrap_bre(data, cfg)
+    assert report.f_stat >= 0.0
+    assert report.aic_restricted < report.aic_full
+    full = fit(data)
+    assert report.aic_full == 2.0 * 4 - 2.0 * full.loglik
+    re = compute_all(full, rest).re
+    assert report.aic_restricted == 2.0 * (4 - 2) - 2.0 * loglik(re, data)

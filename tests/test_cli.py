@@ -1,5 +1,7 @@
 """End-to-end command-line checks via subprocess: exit codes, files, determinism."""
 import dataclasses
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -225,10 +227,11 @@ def test_simulate_seed_override_changes_output(sim_config, tmp_path):
 
 def test_simulate_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("n = 50\np = 3\ntau = 0\nbogus = 1\n")
-    proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: usage:")
+    for line in ("bogus = 1", "fixed_design = true"):
+        cfg.write_text(f"n = 50\np = 3\ntau = 0\n{line}\n")
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: usage: {cfg}:4: unknown key")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +322,54 @@ def test_missing_file_is_usage_error(tmp_path):
     assert proc.stderr.startswith("error: usage:")
 
 
+def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):
+    # an all-zero response has no finite MLE: the full-sample fit fails
+    # before any AIC or F_n line is printed
+    path = tmp_path / "zeros.csv"
+    path.write_text("y,x1\n" + "".join(f"0,{0.1 * i:g}\n" for i in range(60)))
+    rest = tmp_path / "one.txt"
+    rest.write_text("0 1 | 0\n")
+    proc = run_cli(
+        "bootstrap", "--data", str(path), "--response", "y", "--covariates", "x1",
+        "--restriction", str(rest), "--replications", "5",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: numerical:")
+    assert "AIC" not in proc.stdout and "F_n" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "subcommand, rest_text, fisher_text, where",
+    [
+        ("theory", "0 1 0 0 0 | 0\n1 0 0 0 0\n", None, "rest.txt:2:"),
+        ("estimate", "0 1 0 0 0 | 0\n0 1 0 zero 0 | 0\n", None, "rest.txt:2:"),
+        ("bootstrap", "0 1 0 0 0 | 0\n0 2 0 0 0 | 1\n", None, "rest.txt:"),
+        ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\n0,1,0,x,0\n" + "0,0,1,0,0\n" * 3, "fisher.csv:2:"),
+        ("theory", "0 1 0 0 0 | 0\udcff\n", None, "rest.txt: not UTF-8"),
+        ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\udcff\n", "fisher.csv: not UTF-8"),
+    ],
+    ids=["no-separator", "non-numeric", "rank-deficient", "fisher-cell", "rest-bytes", "fisher-bytes"],
+)
+def test_malformed_restriction_or_fisher_file_is_usage_error(
+    subcommand, rest_text, fisher_text, where, data_csv, tmp_path
+):
+    rest = tmp_path / "rest.txt"
+    rest.write_text(rest_text, encoding="utf-8", errors="surrogateescape")
+    args = [subcommand, "--restriction", str(rest)]
+    if subcommand == "theory":
+        args += ["--gamma", "1"]
+    else:
+        args += ["--data", str(data_csv), "--response", "y", "--covariates", COVARIATES]
+    if fisher_text is not None:
+        fisher = tmp_path / "fisher.csv"
+        fisher.write_text(fisher_text, encoding="utf-8", errors="surrogateescape")
+        args += ["--fisher", str(fisher)]
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: usage: {tmp_path / where}")
+    assert proc.stdout == ""
+
+
 def test_bad_count_data_is_numerical_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,x\n3,1.0\n-2,0.5\n1,0.1\n")
@@ -407,6 +458,20 @@ def test_main_reuses_its_parser_across_calls_in_one_process(data_csv, restrictio
         fresh = run_cli(*argv)
         assert fresh.returncode == code
         assert (seen.out, seen.err) == (fresh.stdout, fresh.stderr)
+
+
+def test_every_exported_name_resolves():
+    modules = [bellshrink] + [
+        importlib.import_module(f"bellshrink.{info.name}")
+        for info in pkgutil.iter_modules(bellshrink.__path__)
+    ]
+    stale = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert len(modules) > 1 and stale == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

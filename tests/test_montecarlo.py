@@ -78,23 +78,20 @@ def test_generate_dataset_deterministic():
     np.testing.assert_array_equal(a.y, b.y)
 
 
-@pytest.mark.parametrize("fixed_design", [False, True])
-def test_stacked_draw_equals_per_replication_draw_bitwise(fixed_design):
+def test_stacked_draw_equals_per_replication_draw_bitwise():
     # one Lambert W call per stack and rows written in place give the bits
-    # of each replication's own draw; n * k is odd, so rows of the stack
-    # start at 8-byte but not 16-byte boundaries
-    cfg = small_config(n=51, p=4, fixed_design=fixed_design)
-    fixed_X = None
-    if fixed_design:
-        rng = np.random.default_rng(SEED)
-        fixed_X = np.column_stack([np.ones(cfg.n), rng.standard_normal((cfg.n, cfg.p))])
-    draw = mc._SimDraw(cfg.seed, cfg.n, cfg.p, 0.5, cfg.true_beta, fixed_X)
+    # of generate_dataset on each replication's own substream; n * k is
+    # odd, so rows of the stack start at 8-byte but not 16-byte boundaries
+    cfg = small_config(n=51, p=4)
+    tau = 0.5
+    draw = mc._SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta)
     reps = [4, 0, 17, 3, 9]
     for attempt in (0, 2):
         X, y = draw.stack(reps, attempt)
         assert X.shape == (len(reps), cfg.n, cfg.p + 1) and y.shape == (len(reps), cfg.n)
         for i, rep in enumerate(reps):
-            one = draw(rep, attempt)
+            rng = mc._substream(cfg.seed, cfg.n, cfg.p, tau, rep, attempt)
+            one = generate_dataset(cfg.n, cfg.p, cfg.true_beta, rng)
             np.testing.assert_array_equal(X[i], one.X)
             np.testing.assert_array_equal(y[i], one.y)
             assert y[i].dtype == one.y.dtype
@@ -192,12 +189,6 @@ def test_positive_part_dominates_plain_shrinkage_at_tau_zero():
     point = run_simulation(small_config(replications=250)).grid[0]
     slack = 3.0 * np.hypot(point.sre_se["PJSE"], point.sre_se["JSE"])
     assert point.sre["PJSE"] >= point.sre["JSE"] - slack
-
-
-def test_fixed_design_mode_reuses_covariates():
-    cfg = small_config(fixed_design=True, replications=40)
-    result = run_simulation(cfg)
-    assert result.grid[0].smse["UN"] > 0.0
 
 
 def test_nonconvergence_budget_enforced(monkeypatch):
