@@ -4,13 +4,7 @@ James-Stein shrinkage estimation plus their asymptotic risk theory."""
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from .bell_dist import BellParam
 from .bell_glm import Dataset, FittedModel, aic, fit, loglik
-from .shrinkage import (
-    EstimatorSet,
-    LinearRestriction,
-    compute_all,
-    load_restriction,
-    test_statistic,
-)
+from .shrinkage import EstimatorSet, LinearRestriction, compute_all, load_restriction
 from .special_fn import (
     NoncentralChiSq,
     inv_moment,
@@ -39,7 +33,6 @@ __all__ = [
     "load_restriction",
     "log_bell",
     "noncentral_chisq_cdf",
-    "test_statistic",
     "truncated_inv_moment",
 ]
 

@@ -144,7 +144,8 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     the header refers to its last column.  Cells are read in numpy's float
     syntax: what `float()` reads except digit separators (`1_0`) and
     non-ASCII digits.  The response must hold non-negative integer counts.
-    A bad cell raises DataFormatError naming `path:line` of its row.
+    A bad cell raises DataFormatError naming `path:line` of its row, and a
+    file that is not UTF-8 one naming the path.
 
     The numbers come from one `np.loadtxt` pass; only when it or the count
     check fails is the file walked row by row to find the line to report.
@@ -153,28 +154,31 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     if not covariate_columns:
         raise DataFormatError(f"{path}: no covariate columns requested")
     columns = (response_column, *covariate_columns)
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file, expected a header row")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise DataFormatError(f"{path}: missing columns {missing}; header has {header}")
-        index = {name: i for i, name in enumerate(header)}  # the last occurrence wins
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows; checked below
-                table = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    usecols=[index[c] for c in columns],
-                    ndmin=2,
-                    comments=None,
-                    quotechar='"',
-                )
-        except ValueError as exc:
-            _raise_first_bad_cell(path, response_column, covariate_columns)
-            raise DataFormatError(f"{path}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file, expected a header row")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise DataFormatError(f"{path}: missing columns {missing}; header has {header}")
+            index = {name: i for i, name in enumerate(header)}  # the last occurrence wins
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no data rows; checked below
+                    table = np.loadtxt(
+                        fh,
+                        delimiter=",",
+                        usecols=[index[c] for c in columns],
+                        ndmin=2,
+                        comments=None,
+                        quotechar='"',
+                    )
+            except ValueError as exc:
+                _raise_first_bad_cell(path, response_column, covariate_columns)
+                raise DataFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
     if not table.shape[0]:
         raise DataFormatError(f"{path}: no data rows")
     y = table[:, 0]

@@ -52,9 +52,6 @@ __all__ = [
 
 from .special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf, truncated_inv_moment
 
-_BIAS_ESTIMATORS = ESTIMATOR_ORDER[1:]  # UN is unbiased
-_AMSE_ESTIMATORS = ESTIMATOR_ORDER
-
 
 @dataclass
 class LocalAlternative:
@@ -138,10 +135,10 @@ def _ncx2(la: LocalAlternative, fn, dof: int, **kwargs) -> np.ndarray:
     return memo[key]
 
 
-def _require(estimator: str, allowed: tuple[str, ...]) -> str:
+def _require(estimator: str) -> str:
     est = str(estimator).upper()
-    if est not in allowed:
-        raise ValueError(f"estimator must be one of {allowed}, got {estimator!r}")
+    if est not in ESTIMATOR_ORDER:
+        raise ValueError(f"estimator must be one of {ESTIMATOR_ORDER}, got {estimator!r}")
     return est
 
 
@@ -156,14 +153,16 @@ def _js_shrinkage(la: LocalAlternative) -> float:
 def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
     """Limiting bias vector of sqrt(n) * (estimator - beta), (k,) or (D, k).
 
-    All four biased estimators shrink along kappa gamma; the scalar factor
-    is 1 for RE, a noncentral inverse moment for JSE, that same factor with
-    the clamp correction for PJSE, and the probability of accepting the
-    restriction for PTE.
+    UN is unbiased: its bias is zero.  The other four shrink along
+    kappa gamma; the scalar factor is 1 for RE, a noncentral inverse moment
+    for JSE, that same factor with the clamp correction for PJSE, and the
+    probability of accepting the restriction for PTE.
     """
-    est = _require(estimator, _BIAS_ESTIMATORS)
+    est = _require(estimator)
     kg = _kappa_gamma(la)
     r = la.n_restrictions
+    if est == "UN":
+        return _stacked(la, np.zeros_like(kg))
     if est == "RE":
         return _stacked(la, -kg)
     if est == "PTE":
@@ -188,7 +187,7 @@ def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndar
     UN gives F**-1; the others trade the rank-r block kappa0 against a
     rank-one drift term along kappa gamma with delta-dependent weights.
     """
-    est = _require(estimator, _AMSE_ESTIMATORS)
+    est = _require(estimator)
     finv = la.f_inv
     kg = _kappa_gamma(la)
     if est == "UN":

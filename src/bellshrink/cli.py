@@ -29,7 +29,7 @@ from .application import (
 )
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from .bell_glm import aic, fit
-from .linalg import SingularMatrixError, spd_inverse, spd_solve
+from .linalg import spd_inverse, spd_solve
 from .montecarlo import (
     ConvergenceError,
     SimConfig,
@@ -248,34 +248,38 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a Fisher or config file; one that is not UTF-8 is a
+    usage error that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+
+
 def _read_fisher(path, k: int) -> np.ndarray:
     """The k x k matrix of a --fisher file: one row per line, entries
     separated by commas in numpy's float syntax, '#' starting a comment.
     A malformed file is a usage error that names it."""
     rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0]
-                if line.strip():
-                    try:
-                        rows.append([_numpy_float(tok) for tok in line.split(",")])
-                    except ValueError:
-                        raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            try:
+                rows.append([_numpy_float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
     if len(rows) != k or any(len(row) != k for row in rows):
         raise UsageError(f"{path}: --fisher must be a {k}x{k} matrix")
     return np.array(rows)
 
 
 def _theory_values(la: LocalAlternative, ests, alpha):
-    """(estimator, bias, AMSE) of each estimator at every drift of `la`;
-    UN is unbiased."""
+    """(estimator, bias, AMSE) of each estimator at every drift of `la`."""
     for est in ests:
         amse = asymptotic_amse(est, la, alpha=alpha)
-        bias = np.zeros(amse.shape[:-1]) if est == "UN" else asymptotic_bias(est, la, alpha=alpha)
-        yield est, bias, amse
+        yield est, asymptotic_bias(est, la, alpha=alpha), amse
 
 
 def _cmd_theory(args) -> int:
@@ -348,22 +352,21 @@ _SIM_KEYS = {"n", "p", "tau", "replications", "alpha", "seed"}
 
 def _parse_sim_config(path) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().lower()
-            val = val.strip()
-            if key not in _SIM_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {sorted(_SIM_KEYS)})")
-            if key in values:
-                first = values[key][1]
-                raise UsageError(f"{path}:{lineno}: key {key!r} already set on line {first}")
-            values[key] = (val, lineno)
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().lower()
+        val = val.strip()
+        if key not in _SIM_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {sorted(_SIM_KEYS)})")
+        if key in values:
+            first = values[key][1]
+            raise UsageError(f"{path}:{lineno}: key {key!r} already set on line {first}")
+        values[key] = (val, lineno)
     for required in ("n", "p", "tau"):
         if required not in values:
             raise UsageError(f"{path}: missing required key {required!r}")
@@ -472,25 +475,16 @@ def _cmd_bootstrap(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help and friends
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         _require_files(args)
         return args.func(args)
+    except SystemExit as exc:  # --help and friends
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:
         print(f"error: data: {_first_line(exc)}", file=sys.stderr)
-        _detail(exc)
-        return EXIT_NUMERICAL
-    except (ConvergenceError, SingularMatrixError) as exc:
-        print(f"error: numerical: {_first_line(exc)}", file=sys.stderr)
         _detail(exc)
         return EXIT_NUMERICAL
     except (ValueError, RuntimeError, np.linalg.LinAlgError, OverflowError) as exc:

@@ -40,12 +40,7 @@ __all__ = [
     "compute_all",
     "estimate_many",
     "estimator_names",
-    "james_stein",
     "load_restriction",
-    "positive_james_stein",
-    "pretest",
-    "restricted",
-    "test_statistic",
 ]
 
 ESTIMATOR_ORDER = ("UN", "RE", "JSE", "PJSE", "PTE")
@@ -151,48 +146,6 @@ def _critical_value(alpha: float, r: int) -> float:
     return float(2.0 * gammaincinv(r / 2.0, 1.0 - alpha))
 
 
-def pretest(
-    un: np.ndarray, re: np.ndarray, f_stat: float, r: int, alpha: float
-) -> np.ndarray:
-    """re when f_stat < chi-square(r) upper-alpha critical value, else un.
-
-    Ties at the critical value keep the unrestricted estimator."""
-    return re.copy() if f_stat < _critical_value(alpha, r) else un.copy()
-
-
-def _check_js_args(f_stat: float, r: int) -> None:
-    if not float(r).is_integer() or r < _MIN_JS_RESTRICTIONS:
-        raise ValueError(f"James-Stein estimation needs r >= 3 restrictions, got {r!r}")
-    if not np.isfinite(f_stat) and f_stat != float("inf"):
-        raise ValueError(f"f_stat must be a nonnegative number, got {f_stat!r}")
-    if f_stat < 0.0:
-        raise ValueError(f"f_stat must be nonnegative, got {f_stat!r}")
-    if f_stat == 0.0:
-        raise ValueError(
-            "f_stat is zero: shrinkage factor undefined (the restriction holds "
-            "exactly; use the restricted estimator)"
-        )
-
-
-def james_stein(un: np.ndarray, re: np.ndarray, f_stat: float, r: int) -> np.ndarray:
-    """re + (1 - (r-2)/f_stat) * (un - re); unbounded below for small f_stat."""
-    _check_js_args(f_stat, r)
-    factor = 1.0 - (r - 2.0) / f_stat
-    return re + factor * (un - re)
-
-
-def positive_james_stein(un: np.ndarray, re: np.ndarray, f_stat: float, r: int) -> np.ndarray:
-    """James-Stein with the shrinkage factor clamped at zero.
-
-    Equals re exactly whenever f_stat <= r - 2, and always lies on the
-    segment between re and un."""
-    _check_js_args(f_stat, r)
-    factor = 1.0 - (r - 2.0) / f_stat
-    if factor <= 0.0:
-        return re.copy()
-    return re + factor * (un - re)
-
-
 def estimate_many(
     beta: np.ndarray, fisher: np.ndarray, rest: LinearRestriction, alpha: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,13 +205,3 @@ def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05
     if rest.n_restrictions < _MIN_JS_RESTRICTIONS:
         jse = pjse = None
     return EstimatorSet(un=un, re=re, pte=pte, jse=jse, pjse=pjse, f_stat=float(f_stat[0]))
-
-
-def restricted(model: FittedModel, rest: LinearRestriction) -> np.ndarray:
-    """Project the unrestricted fit onto the restriction in the F metric."""
-    return compute_all(model, rest).re
-
-
-def test_statistic(model: FittedModel, rest: LinearRestriction) -> float:
-    """Wald statistic for H beta = h; asymptotically chi-square(r) under it."""
-    return compute_all(model, rest).f_stat

@@ -8,11 +8,13 @@ ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
 by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
 compositions of package functions that only the tests use.
 
-Two references keep an earlier, plainer form of a package routine that was
-rewritten for speed with the same arithmetic: `ztp_rejection_masked`, the
-zero-truncated Poisson rejection loop that re-masks every part each round,
-and `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
-`LocalAlternative` and fresh noncentral chi-square evaluations per delta.
+Three references keep an earlier, plainer form of a package routine that
+was rewritten for speed with the same arithmetic: `ztp_rejection_masked`,
+the zero-truncated Poisson rejection loop that re-masks every part each
+round, `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
+`LocalAlternative` and fresh noncentral chi-square evaluations per delta,
+and `per_member_estimators`, the five estimators of one fit from their
+textbook formulas, one solve at a time.
 """
 import csv
 
@@ -255,9 +257,42 @@ def lr_statistic(model, data, rest):
     asymptotically matches) the Wald statistic without replacing it.
     """
     from bellshrink.bell_glm import loglik
-    from bellshrink.shrinkage import restricted
+    from bellshrink.shrinkage import compute_all
 
-    return 2.0 * (model.loglik - loglik(restricted(model, rest), data))
+    return 2.0 * (model.loglik - loglik(compute_all(model, rest).re, data))
+
+
+def per_member_estimators(model, rest, alpha):
+    """The five estimators of one fit in ESTIMATOR_ORDER and its Wald
+    statistic, from the textbook formulas with one spd_solve at a time:
+
+        RE   = b - F^-1 H' (H F^-1 H')^-1 (H b - h),
+        f    = (H b - h)' (H F^-1 H')^-1 (H b - h),
+        JSE  = RE + (1 - (r - 2)/f) (b - RE),
+        PJSE = JSE with the factor clamped at zero,
+        PTE  = RE if f < chi-square(r) upper-alpha quantile, else b.
+
+    JSE and PJSE are RE when f = 0 and NaN rows when r < 3.
+    """
+    from bellshrink.linalg import spd_solve
+
+    H, h = rest.H, rest.h
+    r = rest.n_restrictions
+    finv_ht = spd_solve(model.fisher_info, H.T)
+    gap = H @ model.beta - h
+    m_inv_gap = spd_solve(H @ finv_ht, gap)
+    un = model.beta.copy()
+    re = model.beta - finv_ht @ m_inv_gap
+    f_stat = max(0.0, float(gap @ m_inv_gap))
+    jse = pjse = np.full_like(un, np.nan)
+    if r >= 3:
+        jse = pjse = re
+        if f_stat > 0.0:
+            factor = 1.0 - (r - 2.0) / f_stat
+            jse = re + factor * (un - re)
+            pjse = re if factor <= 0.0 else jse
+    pte = re if f_stat < chi2.ppf(1.0 - alpha, r) else un
+    return np.stack([un, re, jse, pjse, pte]), f_stat
 
 
 def ztp_rejection_masked(theta, rng):
@@ -279,14 +314,14 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     from bellshrink.montecarlo import _fmt
     from bellshrink.shrinkage import estimator_names
 
-    r, k = rest.H.shape
+    r = rest.n_restrictions
     m = rest.H @ spd_solve(fisher, rest.H.T)
     unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
     lines = ["delta,estimator,bias_norm,amse_trace"]
     for d in deltas:
         for est in estimator_names(r):
             la = LocalAlternative(gamma=np.sqrt(d) * unit, fisher=fisher, restriction=rest)
-            bias = np.zeros(k) if est == "UN" else asymptotic_bias(est, la, alpha=alpha)
+            bias = asymptotic_bias(est, la, alpha=alpha)
             la = LocalAlternative(gamma=np.sqrt(d) * unit, fisher=fisher, restriction=rest)
             amse = asymptotic_amse(est, la, alpha=alpha)
             lines.append(

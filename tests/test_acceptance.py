@@ -21,8 +21,7 @@ from bellshrink.bell_dist import BellParam, pmf, sample_counts
 from bellshrink.bell_glm import Dataset, FittedModel, fit
 from bellshrink.linalg import spd_inverse
 from bellshrink.montecarlo import SimConfig, build_restriction, generate_dataset, run_simulation
-from bellshrink.shrinkage import LinearRestriction, restricted
-from bellshrink.shrinkage import test_statistic as wald_statistic
+from bellshrink.shrinkage import LinearRestriction, compute_all
 from bellshrink.special_fn import (
     NoncentralChiSq,
     inv_moment,
@@ -77,7 +76,7 @@ def test_criterion_1_constraint_satisfaction():
         h = rng.standard_normal(r)
         un = 2.0 * rng.standard_normal(k)
         rest = LinearRestriction(H, h)
-        re = restricted(_synthetic_model(un, fisher), rest)
+        re = compute_all(_synthetic_model(un, fisher), rest).re
         worst_gap = max(worst_gap, float(np.max(np.abs(H @ re - h))))
         oracle = kkt_restricted(un, fisher, H, h)
         worst_match = max(worst_match, float(np.max(np.abs(re - oracle))))
@@ -103,7 +102,7 @@ def test_criterion_2_null_distribution():
     for _ in range(2000):
         model = fit(generate_dataset(500, 3, beta, rng))
         if model.converged:
-            draws.append(wald_statistic(model, rest))
+            draws.append(compute_all(model, rest).f_stat)
     draws = np.asarray(draws)
     ks = stats.kstest(draws, stats.chi2(3).cdf)
     elapsed = time.perf_counter() - start
@@ -347,7 +346,7 @@ def test_criterion_7_application_pipeline():
     for _ in range(100):
         idx = sub_rng.choice(data.n_obs, size=data.n_obs, replace=True)
         model = fit(Dataset(data.X[idx], data.y[idx]))
-        re = restricted(model, rest)
+        re = compute_all(model, rest).re
         manual_gap = max(manual_gap, float(np.max(np.abs(H @ re))))
 
     mine_note = "no local mine-fracture file, conditional check skipped"

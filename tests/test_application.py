@@ -100,6 +100,15 @@ def test_load_dataset_empty_file(tmp_path):
         load_dataset(path, "y", ["x"])
 
 
+@pytest.mark.parametrize("good_rows", [0, 2000])  # the bad byte in the first read or later
+def test_load_dataset_not_utf8_names_the_file(tmp_path, good_rows):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,x\n" + b"1,0.5\n" * good_rows + b"1,0.5\xff\n2,0.1\n")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset(path, "y", ["x"])
+    assert str(info.value) == f"{path}: not UTF-8 text"
+
+
 def _outcome(loader, path, response, covariates):
     """What a loader makes of a file: its data and summary, or its error."""
     try:

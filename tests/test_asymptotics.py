@@ -127,6 +127,17 @@ def test_pretest_bias_interpolates_between_un_and_re():
     np.testing.assert_allclose(near_never_reject, -kg, atol=1e-5)
 
 
+def test_unrestricted_bias_is_zero():
+    one = random_alternative(6, 3, 2.0, SEED + 6)
+    stack = LocalAlternative(np.outer([0.0, 1.0, 30.0], one.gamma), one.fisher, one.restriction)
+    for la, shape in ((one, (6,)), (stack, (3, 6))):
+        bias = asymptotic_bias("UN", la)
+        assert bias.shape == shape
+        assert np.array_equal(bias, np.zeros(shape))
+        assert not np.signbit(bias).any()  # +0.0, as the theory CSVs print it
+    assert np.array_equal(asymptotic_bias("un", one, alpha=ALPHA), np.zeros(6))
+
+
 def test_estimator_name_and_argument_validation():
     la = toy_alternative(delta=1.0)
     with pytest.raises(ValueError):
@@ -276,7 +287,7 @@ def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
     assert stack.delta[-1] == pytest.approx(5000.0, rel=1e-10)
     ests = shrinkage.estimator_names(r)
     amse = {est: asymptotic_amse(est, stack, alpha=ALPHA) for est in ests}
-    bias = {est: asymptotic_bias(est, stack, alpha=ALPHA) for est in ests if est != "UN"}
+    bias = {est: asymptotic_bias(est, stack, alpha=ALPHA) for est in ests}
     assert all(a.shape == (len(STACK_DELTAS), k, k) for a in amse.values())
     assert all(b.shape == (len(STACK_DELTAS), k) for b in bias.values())
     for i, gamma in enumerate(gammas):
@@ -284,8 +295,7 @@ def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
         assert isinstance(alone.delta, float) and stack.delta[i] == alone.delta
         for est in ests:
             assert np.array_equal(amse[est][i], asymptotic_amse(est, alone, alpha=ALPHA))
-            if est != "UN":
-                assert np.array_equal(bias[est][i], asymptotic_bias(est, alone, alpha=ALPHA))
+            assert np.array_equal(bias[est][i], asymptotic_bias(est, alone, alpha=ALPHA))
     assert np.array_equal(asymptotic_amse("PTE", fresh, alpha=ALPHA), amse["PTE"])
     with pytest.raises(ValueError):
         LocalAlternative(np.zeros((2, r + 1)), one.fisher, one.restriction)
@@ -302,9 +312,7 @@ def test_all_closed_forms_match_limit_experiment():
         mc = normal_theory_moments(la, ALPHA, n_draws=400_000, seed=seed)
         for est in ["UN", "RE", "JSE", "PJSE", "PTE"]:
             bias_mc, bias_se, amse_mc, amse_se = mc[est][:4]
-            bias_th = (
-                np.zeros(7) if est == "UN" else asymptotic_bias(est, la, alpha=ALPHA)
-            )
+            bias_th = asymptotic_bias(est, la, alpha=ALPHA)
             amse_th = asymptotic_amse(est, la, alpha=ALPHA)
             assert max_z_score(bias_th, bias_mc, bias_se) < 4.0, (est, delta)
             assert max_z_score(amse_th, amse_mc, amse_se) < 4.0, (est, delta)

@@ -1,4 +1,5 @@
 """End-to-end command-line checks via subprocess: exit codes, files, determinism."""
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -347,16 +348,23 @@ def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):
         ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\n0,1,0,x,0\n" + "0,0,1,0,0\n" * 3, "fisher.csv:2:"),
         ("theory", "0 1 0 0 0 | 0\udcff\n", None, "rest.txt: not UTF-8"),
         ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\udcff\n", "fisher.csv: not UTF-8"),
+        ("simulate", "# caf\udce9\nn = 20\np = 3\ntau = 0\n", None, "sim.cfg: not UTF-8"),
     ],
-    ids=["no-separator", "non-numeric", "rank-deficient", "fisher-cell", "rest-bytes", "fisher-bytes"],
+    ids=[
+        "no-separator", "non-numeric", "rank-deficient", "fisher-cell", "rest-bytes",
+        "fisher-bytes", "config-bytes",
+    ],
 )
 def test_malformed_restriction_or_fisher_file_is_usage_error(
     subcommand, rest_text, fisher_text, where, data_csv, tmp_path
 ):
-    rest = tmp_path / "rest.txt"
+    # simulate reads its config file where the others read the restriction
+    rest = tmp_path / ("sim.cfg" if subcommand == "simulate" else "rest.txt")
     rest.write_text(rest_text, encoding="utf-8", errors="surrogateescape")
     args = [subcommand, "--restriction", str(rest)]
-    if subcommand == "theory":
+    if subcommand == "simulate":
+        args = [subcommand, "--config", str(rest), "--out", str(tmp_path / "sim.csv")]
+    elif subcommand == "theory":
         args += ["--gamma", "1"]
     else:
         args += ["--data", str(data_csv), "--response", "y", "--covariates", COVARIATES]
@@ -376,6 +384,15 @@ def test_bad_count_data_is_numerical_error(tmp_path):
     proc = run_cli("fit", "--data", str(path), "--response", "y", "--covariates", "x")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: data:")
+
+
+def test_data_file_not_utf8_is_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,x1\n1,0.5\xff\n2,0.1\n")
+    proc = run_cli("fit", "--data", str(path), "--response", "y", "--covariates", "x1")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: data: {path}: not UTF-8 text\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -472,6 +489,26 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert len(modules) > 1 and stale == []
+
+
+def test_every_bench_tracer_target_resolves():
+    # bench/tracer.py wraps these at install; a missing one fails only there
+    source = (Path(__file__).resolve().parents[1] / "bench" / "tracer.py").read_text()
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    )
+    missing = []
+    for module_name, attr, _ in targets:
+        owner = importlib.import_module(module_name)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        # a Class.method target is patched in the class's own namespace
+        if not (name in vars(owner) if path else hasattr(owner, name)):
+            missing.append(f"{module_name}.{attr}")
+    assert len(targets) > 1 and missing == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -7,21 +7,16 @@ from scipy.stats import chi2
 
 from bellshrink import shrinkage
 from bellshrink.bell_glm import FittedModel, fit
-from bellshrink.linalg import SingularMatrixError, spd_solve
+from bellshrink.linalg import SingularMatrixError
 from bellshrink.shrinkage import (
     ESTIMATOR_ORDER,
     LinearRestriction,
     compute_all,
     estimate_many,
-    james_stein,
     load_restriction,
-    positive_james_stein,
-    pretest,
-    restricted,
 )
-from bellshrink.shrinkage import test_statistic as wald_statistic
 from conftest import simulate_dataset
-from oracles import kkt_restricted, lr_statistic
+from oracles import kkt_restricted, lr_statistic, per_member_estimators
 
 SEED = 445566
 
@@ -46,6 +41,26 @@ def random_problem(k, r, rng):
     return synthetic_model(un, fisher), LinearRestriction(H=H, h=h)
 
 
+def pinned_fits(heads, r, direction=None):
+    """A stack of fits with k = r + 2 and F = I under H beta = 0, H the
+    first r rows of the identity: beta is head * direction (default the
+    first axis) in its first r entries and ones in the last two.  UN - RE
+    is then head * direction and the Wald statistic |head * direction|**2,
+    exactly head**2 along the first axis."""
+    if direction is None:
+        direction = np.eye(r)[0]
+    k = r + 2
+    beta = np.ones((len(heads), k))
+    beta[:, :r] = np.outer(heads, direction)
+    fisher = np.repeat(np.eye(k)[None], len(heads), axis=0)
+    return beta, fisher, LinearRestriction(H=np.eye(k)[:r], h=np.zeros(r))
+
+
+def columns(est, *names):
+    """The (m, k) rows of the named estimators in an estimate_many stack."""
+    return tuple(est[:, ESTIMATOR_ORDER.index(name)] for name in names)
+
+
 # -------------------------------------------------------------- restricted
 
 
@@ -54,14 +69,14 @@ def test_restricted_is_identity_when_already_satisfied():
     model, _ = random_problem(5, 2, rng)
     H = rng.standard_normal((2, 5))
     rest = LinearRestriction(H=H, h=H @ model.beta)
-    np.testing.assert_allclose(restricted(model, rest), model.beta, atol=1e-12)
+    np.testing.assert_allclose(compute_all(model, rest).re, model.beta, atol=1e-12)
 
 
 def test_full_restriction_to_zero():
     rng = np.random.default_rng(SEED + 1)
     model, _ = random_problem(4, 2, rng)
     rest = LinearRestriction(H=np.eye(4), h=np.zeros(4))
-    np.testing.assert_allclose(restricted(model, rest), np.zeros(4), atol=1e-12)
+    np.testing.assert_allclose(compute_all(model, rest).re, np.zeros(4), atol=1e-12)
 
 
 def test_restricted_matches_kkt_oracle():
@@ -70,7 +85,7 @@ def test_restricted_matches_kkt_oracle():
         k = int(rng.integers(3, 9))
         r = int(rng.integers(1, k))
         model, rest = random_problem(k, r, rng)
-        ours = restricted(model, rest)
+        ours = compute_all(model, rest).re
         oracle = kkt_restricted(model.beta, model.fisher_info, rest.H, rest.h)
         np.testing.assert_allclose(ours, oracle, atol=1e-8)
         np.testing.assert_allclose(rest.H @ ours, rest.h, atol=1e-8)
@@ -92,7 +107,7 @@ def test_statistic_zero_when_restriction_holds():
     model, _ = random_problem(5, 2, rng)
     H = rng.standard_normal((2, 5))
     rest = LinearRestriction(H=H, h=H @ model.beta)
-    assert wald_statistic(model, rest) == pytest.approx(0.0, abs=1e-20)
+    assert compute_all(model, rest).f_stat == pytest.approx(0.0, abs=1e-20)
 
 
 def test_statistic_scalar_reduction():
@@ -104,7 +119,7 @@ def test_statistic_scalar_reduction():
     f_inv = np.linalg.inv(model.fisher_info)
     gap = (H @ model.beta - h).item()
     expected = gap**2 / (H @ f_inv @ H.T).item()
-    assert wald_statistic(model, rest) == pytest.approx(expected, rel=1e-10)
+    assert compute_all(model, rest).f_stat == pytest.approx(expected, rel=1e-10)
 
 
 def test_wald_and_lr_forms_converge_with_sample_size():
@@ -118,7 +133,7 @@ def test_wald_and_lr_forms_converge_with_sample_size():
         for rep in range(60):
             data = simulate_dataset(n, beta, SEED + 100 * i + rep)
             model = fit(data)
-            wald = wald_statistic(model, rest)
+            wald = compute_all(model, rest).f_stat
             lr = lr_statistic(model, data, rest)
             gaps.append(abs(wald - lr))
         medians.append(np.median(gaps))
@@ -129,51 +144,43 @@ def test_wald_and_lr_forms_converge_with_sample_size():
 # ------------------------------------------------------------------ pretest
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_pretest_selection_rule():
-    un = np.array([1.0, 2.0])
-    re = np.array([0.5, 1.5])
+    # sqrt(crit)**2 rounds to crit exactly at r = 3, alpha = 0.05, so the
+    # second member ties at the critical value; 1e200**2 overflows to inf
     crit = float(chi2.ppf(0.95, 3))
-    assert np.array_equal(pretest(un, re, 0.0, 3, 0.05), re)
-    assert np.array_equal(pretest(un, re, np.inf, 3, 0.05), un)
-    # tie at the critical value keeps the unrestricted estimator
-    assert np.array_equal(pretest(un, re, crit, 3, 0.05), un)
-    assert np.array_equal(pretest(un, re, np.nextafter(crit, 0.0), 3, 0.05), re)
-    with pytest.raises(ValueError):
-        pretest(un, re, 1.0, 3, 0.0)
+    heads = [0.5, np.sqrt(crit), np.nextafter(np.sqrt(crit), 0.0), 1e200]
+    est, f_stat, ok = estimate_many(*pinned_fits(heads, 3), alpha=0.05)
+    assert ok.all()
+    assert f_stat[1] == crit and f_stat[2] < crit and f_stat[3] == np.inf
+    un, re, pte = columns(est, "UN", "RE", "PTE")
+    assert (un[:, 0] != re[:, 0]).all()
+    # below the critical value keeps RE; a tie keeps the unrestricted estimator
+    for i, keep in enumerate((re, un, re, un)):
+        np.testing.assert_array_equal(pte[i], keep[i])
 
 
 # -------------------------------------------------------------- James-Stein
 
 
 def test_james_stein_factor_algebra():
-    un = np.array([2.0, 4.0, 6.0, 8.0])
-    re = np.array([1.0, 1.0, 1.0, 1.0])
-    r = 4
-    # factor -> 1 as f -> infinity
-    np.testing.assert_allclose(james_stein(un, re, 1e12, r), un, rtol=1e-10)
-    # factor 0 at f = r - 2
-    np.testing.assert_allclose(james_stein(un, re, 2.0, r), re, atol=1e-14)
-    # factor -1 at f = (r - 2) / 2: over-shrinkage past the restricted point
-    np.testing.assert_allclose(james_stein(un, re, 1.0, r), 2 * re - un, atol=1e-14)
+    # r = 4 and f_stat = head**2: the factor 1 - 2/f_stat is about 1 at
+    # f_stat = 1e12, 0 at f_stat = 2 and -1 at f_stat = 1
+    est, f_stat, _ = estimate_many(*pinned_fits([1e6, np.sqrt(2.0), 1.0], 4))
+    np.testing.assert_allclose(f_stat, [1e12, 2.0, 1.0], rtol=1e-15)
+    un, re, jse = columns(est, "UN", "RE", "JSE")
+    np.testing.assert_allclose(jse[0], un[0], rtol=1e-10)
+    np.testing.assert_allclose(jse[1], re[1], atol=1e-14)
+    # over-shrinkage past the restricted point
+    np.testing.assert_allclose(jse[2], 2 * re[2] - un[2], atol=1e-14)
 
 
 def test_positive_part_clamps():
-    un = np.array([2.0, 4.0])
-    re = np.array([1.0, 1.0])
-    r = 4
-    np.testing.assert_allclose(positive_james_stein(un, re, 1.0, r), re, atol=0)
-    midpoint = re + 0.5 * (un - re)
-    np.testing.assert_allclose(positive_james_stein(un, re, 4.0, r), midpoint, rtol=1e-14)
-
-
-def test_james_stein_domain_errors():
-    un, re = np.ones(4), np.zeros(4)
-    with pytest.raises(ValueError):
-        james_stein(un, re, 1.0, 2)
-    with pytest.raises(ValueError):
-        james_stein(un, re, 0.0, 4)
-    with pytest.raises(ValueError):
-        positive_james_stein(un, re, 1.0, 2)
+    # r = 4 at f_stat = 1 (factor -1) and f_stat = 4 (factor 1/2)
+    est = estimate_many(*pinned_fits([1.0, 2.0], 4))[0]
+    un, re, pjse = columns(est, "UN", "RE", "PJSE")
+    np.testing.assert_array_equal(pjse[0], re[0])
+    np.testing.assert_allclose(pjse[1], re[1] + 0.5 * (un[1] - re[1]), rtol=1e-14)
 
 
 @given(
@@ -182,11 +189,12 @@ def test_james_stein_domain_errors():
 )
 @settings(max_examples=150, deadline=None)
 def test_positive_part_stays_on_segment(f_stat, r):
-    un = np.array([3.0, -1.0, 2.0])
-    re = np.array([1.0, 1.0, 1.0])
-    out = positive_james_stein(un, re, f_stat, r)
-    # out = re + t (un - re) for a single t in [0, 1)
-    t = (out - re) / (un - re)
+    direction = np.zeros(r)
+    direction[:3] = [2.0 / 3.0, -2.0 / 3.0, 1.0 / 3.0]
+    est = estimate_many(*pinned_fits([np.sqrt(f_stat)], r, direction))[0]
+    un, re, pjse = (row[0, :3] for row in columns(est, "UN", "RE", "PJSE"))
+    # pjse = re + t (un - re) for a single t in [0, 1)
+    t = (pjse - re) / (un - re)
     assert np.allclose(t, t[0], atol=1e-12)
     assert -1e-12 <= t[0] < 1.0
 
@@ -198,14 +206,10 @@ def test_compute_all_cross_consistency():
     rng = np.random.default_rng(SEED + 6)
     model, rest = random_problem(6, 3, rng)
     est = compute_all(model, rest, alpha=0.05)
-    np.testing.assert_allclose(est.re, restricted(model, rest), atol=0)
-    assert est.f_stat == pytest.approx(wald_statistic(model, rest), abs=0)
-    np.testing.assert_allclose(
-        est.jse, james_stein(est.un, est.re, est.f_stat, 3), atol=0
-    )
-    np.testing.assert_allclose(
-        est.pjse, positive_james_stein(est.un, est.re, est.f_stat, 3), atol=0
-    )
+    want, want_f = per_member_estimators(model, rest, 0.05)
+    assert est.f_stat == want_f
+    for name, row in zip(ESTIMATOR_ORDER, want):
+        np.testing.assert_array_equal(getattr(est, name.lower()), row)
     assert np.array_equal(est.pte, est.un) or np.array_equal(est.pte, est.re)
     np.testing.assert_allclose(rest.H @ est.re, rest.h, atol=1e-8)
 
@@ -228,26 +232,6 @@ def test_compute_all_exact_satisfaction_short_circuits():
     np.testing.assert_allclose(est.jse, est.re, atol=0)
     np.testing.assert_allclose(est.pjse, est.re, atol=0)
     np.testing.assert_allclose(est.pte, est.re, atol=0)
-
-
-def per_member_estimators(model, rest, alpha):
-    """The five estimators of one fit from the scalar building blocks, one
-    spd_solve at a time; NaN rows where r < 3 rules out JSE and PJSE."""
-    H, h = rest.H, rest.h
-    r = rest.n_restrictions
-    finv_ht = spd_solve(model.fisher_info, H.T)
-    gap = H @ model.beta - h
-    m_inv_gap = spd_solve(H @ finv_ht, gap)
-    un = model.beta.copy()
-    re = model.beta - finv_ht @ m_inv_gap
-    f_stat = max(0.0, float(gap @ m_inv_gap))
-    jse = pjse = np.full_like(un, np.nan)
-    if r >= 3:
-        jse = pjse = re
-        if f_stat > 0.0:
-            jse = james_stein(un, re, f_stat, r)
-            pjse = positive_james_stein(un, re, f_stat, r)
-    return np.stack([un, re, jse, pjse, pretest(un, re, f_stat, r, alpha)]), f_stat
 
 
 def assert_stack_matches_members(models, rest, alpha=0.05):
@@ -361,16 +345,16 @@ def test_critical_value_is_scipy_chi2_quantile():
 
 
 def test_pretest_critical_value_cached_and_errors_raised_on_every_call():
-    un, re = np.zeros(2), np.ones(2)
-    crit = float(chi2.ppf(0.9, 3))
+    crit = float(chi2.ppf(0.95, 3))
+    fits = pinned_fits([np.nextafter(np.sqrt(crit), 0.0), np.sqrt(crit)], 3)
     for _ in range(2):  # a cached value must not swallow the checks
         with pytest.raises(ValueError, match="needs a test level"):
-            pretest(un, re, 1.0, 3, None)
+            estimate_many(*fits, alpha=None)
         for alpha in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError, match="alpha must be in"):
-                pretest(un, re, 1.0, 3, alpha)
-        assert np.array_equal(pretest(un, re, np.nextafter(crit, 0.0), 3, 0.1), re)
-        assert np.array_equal(pretest(un, re, crit, 3, 0.1), un)
+                estimate_many(*fits, alpha=alpha)
+        un, re, pte = columns(estimate_many(*fits, alpha=0.05)[0], "UN", "RE", "PTE")
+        np.testing.assert_array_equal(pte, [re[0], un[1]])
 
 
 def test_estimators_agree_under_true_restriction_at_large_n():
