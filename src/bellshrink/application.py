@@ -116,7 +116,7 @@ def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None
     the DataFormatError of the first cell that numpy's float syntax or the
     count rules reject, naming path:line; return if there is none.  Runs
     only after the one-pass read has failed, to say where."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for record in reader:
             where = f"{path}:{reader.line_num}"
@@ -138,7 +138,8 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     """Read a CSV file into a Dataset (intercept column prepended) plus a
     summary with the overdispersion ratio.
 
-    The file is UTF-8 and comma-separated, with a header row naming the
+    The file is UTF-8, a leading byte-order mark skipped, and
+    comma-separated, with a header row naming the
     columns.  A field may be quoted with `"`.  Blank lines are skipped,
     columns not asked for are ignored, and a name that appears twice in
     the header refers to its last column.  Cells are read in numpy's float
@@ -155,7 +156,7 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
         raise DataFormatError(f"{path}: no covariate columns requested")
     columns = (response_column, *covariate_columns)
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
                 raise DataFormatError(f"{path}: empty file, expected a header row")
@@ -244,8 +245,9 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
     _, est, retries = _replicate(
-        (draw, list(range(cfg.replications)), cfg.restriction, cfg.alpha, budget)
+        (draw, list(range(cfg.replications)), [cfg.restriction], cfg.alpha, budget)
     )
+    est = est[:, 0]
     if retries > budget:
         raise ConvergenceError(
             f"{retries} failed bootstrap refits exceed the {_MAX_FAILURE_RATE:.0%} "

@@ -148,8 +148,9 @@ def _build_parser() -> _Parser:
 def _require_files(args) -> None:
     for flag in ("data", "restriction", "config", "fisher"):
         path = getattr(args, flag, None)
-        if path is not None and not os.path.exists(path):
-            raise UsageError(f"--{flag} file not found: {path}")
+        if path is not None and not os.path.isfile(path):
+            what = "is a directory" if os.path.isdir(path) else "file not found"
+            raise UsageError(f"--{flag} {what}: {path}")
 
 
 def _print_table(headers, rows) -> None:
@@ -252,7 +253,7 @@ def _text_lines(path) -> list[str]:
     """The lines of a Fisher or config file; one that is not UTF-8 is a
     usage error that names it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.readlines()
     except UnicodeDecodeError:
         raise UsageError(f"{path}: not UTF-8 text") from None
@@ -398,10 +399,13 @@ def _parse_sim_config(path) -> dict:
 
 def _cmd_simulate(args) -> int:
     raw = _parse_sim_config(args.config)
-    for key in ("n", "p"):
+    for key in ("n", "p", "tau"):
         repeated = sorted({v for v in raw[key] if raw[key].count(v) > 1})
         if repeated:
-            raise UsageError(f"{args.config}: {key} repeats {repeated}; each design runs once")
+            raise UsageError(
+                f"{args.config}: {key} repeats {repeated}; a repeat would rerun the same "
+                "replications"
+            )
     seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
     try:
         configs = [

@@ -9,17 +9,22 @@ intercept at tau and equates adjacent slopes,
 
 so tau = 0 makes the restriction exactly true and larger tau moves the
 hypothesis away from the truth without changing the data law.  Each
-replication draws a dataset, fits, computes all five estimators, and
+replication of a design (n, p) draws a dataset and fits it once, then
+computes all five estimators under the restriction of every tau and
 accumulates squared errors against the truth; relative efficiency is
 
     SRE(est) = SMSE(UN) / SMSE(est),
 
-with delta-method Monte Carlo standard errors on the ratio.
+with delta-method Monte Carlo standard errors on the ratio.  The grid
+points of one design therefore share their datasets, their failed fits
+and their retry count.
 
 Reproducibility: every replication attempt owns a PCG64 substream keyed by
-(seed; n, p, tau, replication, attempt), so any grid point or single
-replication can be regenerated in isolation and results do not depend on
-thread count or grid subsetting.
+(seed; n, p, 0, replication, attempt).  The third entry is always 0: tau
+keys no stream, and the zero keeps the streams that tau = 0 drew when it
+did.  Any design or single replication can be regenerated in isolation,
+and results do not depend on thread count, stack size, or which taus
+share the grid.
 """
 
 from __future__ import annotations
@@ -92,15 +97,9 @@ class SimConfig:
         negative = [t for t in taus if t < 0]
         if negative:
             raise ValueError(f"tau_grid entries must be >= 0, got {negative}")
-        first: dict[int, float] = {}
-        for t in taus:
-            key = _tau_key(t)
-            if key in first:
-                raise ValueError(
-                    f"tau_grid entries {first[key]!r} and {t!r} share one random "
-                    "stream (taus are keyed to 1e-6)"
-                )
-            first[key] = t
+        repeated = sorted({t for t in taus if taus.count(t) > 1})
+        if repeated:
+            raise ValueError(f"tau_grid repeats {repeated}; each tau runs once")
         object.__setattr__(self, "tau_grid", taus)
 
     @property
@@ -150,29 +149,23 @@ def generate_dataset(n: int, p: int, true_beta, rng: np.random.Generator) -> Dat
     return Dataset(X, sample_counts(theta, rng))
 
 
-def _tau_key(tau: float) -> int:
-    """The entry of a substream key that stands for tau."""
-    return int(round(tau * 1_000_000))
-
-
-def _substream(seed: int, n: int, p: int, tau: float, rep: int, attempt: int):
-    key = (n, p, _tau_key(tau), rep, attempt)
+def _substream(seed: int, n: int, p: int, rep: int, attempt: int):
+    key = (n, p, 0, rep, attempt)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)
 class _SimDraw:
-    """Draws the datasets of a grid point's replications."""
+    """Draws the datasets of a design's replications."""
 
     seed: int
     n_obs: int
     p: int
-    tau: float
     true_beta: np.ndarray
 
     @property
     def where(self) -> str:
-        return f" at (n={self.n_obs}, p={self.p}, tau={self.tau})"
+        return f" at (n={self.n_obs}, p={self.p})"
 
     def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         """The datasets of reps on one attempt as X (m, n, k) and y (m, n),
@@ -181,7 +174,7 @@ class _SimDraw:
         then its counts, and theta comes from one Lambert W call, which is
         element-wise."""
         n, p = self.n_obs, self.p
-        rngs = [_substream(self.seed, n, p, self.tau, rep, attempt) for rep in reps]
+        rngs = [_substream(self.seed, n, p, rep, attempt) for rep in reps]
         X = np.empty((len(rngs), n, p + 1))
         X[..., 0] = 1.0
         eta = np.empty((len(rngs), n))
@@ -194,23 +187,26 @@ class _SimDraw:
 
 
 def _replicate(job) -> tuple[list[int], np.ndarray, int]:
-    """Fit every replication in reps and compute its estimators.
+    """Fit every replication in reps once and compute its estimators under
+    each restriction in rests.
 
-    job = (draw, reps, rest, alpha, budget).  draw.stack(reps, attempt)
+    job = (draw, reps, rests, alpha, budget).  draw.stack(reps, attempt)
     gives the datasets of that attempt as arrays.  Each attempt round
-    draws, fits and estimates every pending replication in stacks of at
-    most _STACK_ELEMENTS entries of X, and leaves the failed ones (no
-    convergence, singular fit or singular projection) pending for
-    attempt + 1.  The round stops early once the failures exceed budget;
-    the caller reports that.
+    draws and fits every pending replication in stacks of at most
+    _STACK_ELEMENTS entries of X, and calls `estimate_many` once per
+    restriction on each stack of fits.  A replication whose fit fails (no
+    convergence or singular) or whose projection fails under any
+    restriction stays pending for attempt + 1.  H F^-1 H' does not depend
+    on h, so restrictions that differ only in h fail together.  The round
+    stops early once the failures exceed budget; the caller reports that.
 
     Returns (reps, estimates, retries): estimates has shape
-    (len(reps), 5, k) in ESTIMATOR_ORDER, NaN where r < 3 rules out the
-    Stein estimators or a replication was left pending.
+    (len(reps), len(rests), 5, k) in ESTIMATOR_ORDER, NaN where r < 3
+    rules out the Stein estimators or a replication was left pending.
     """
-    draw, reps, rest, alpha, budget = job
-    k = rest.H.shape[1]
-    est = np.full((len(reps), len(ESTIMATOR_ORDER), k), np.nan)
+    draw, reps, rests, alpha, budget = job
+    k = rests[0].H.shape[1]
+    est = np.full((len(reps), len(rests), len(ESTIMATOR_ORDER), k), np.nan)
     cap = max(1, _STACK_ELEMENTS // (draw.n_obs * k))
     pending = np.arange(len(reps))
     retries = 0
@@ -222,13 +218,13 @@ def _replicate(job) -> tuple[list[int], np.ndarray, int]:
             fitted = [i for i, model in enumerate(models) if model is not None and model.converged]
             ok = np.zeros(len(rows), dtype=bool)
             if fitted:
-                stack_est, _, ok[fitted] = estimate_many(
-                    np.stack([models[i].beta for i in fitted]),
-                    np.stack([models[i].fisher_info for i in fitted]),
-                    rest,
-                    alpha,
-                )
-                est[rows[fitted]] = stack_est
+                beta = np.stack([models[i].beta for i in fitted])
+                fisher = np.stack([models[i].fisher_info for i in fitted])
+                ok[fitted] = True
+                for t, rest in enumerate(rests):
+                    stack_est, _, solved = estimate_many(beta, fisher, rest, alpha)
+                    est[rows[fitted], t] = stack_est
+                    ok[fitted] &= solved
             failed.append(rows[~ok])
         pending = np.concatenate(failed)
         retries += len(pending)
@@ -256,29 +252,8 @@ def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def _grid_point(cfg: SimConfig, tau: float, threads: int) -> GridPointResult:
-    rest = build_restriction(cfg.p, tau)
-    draw = _SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta)
-    budget = _MAX_FAILURE_RATE * cfg.replications
-    reps = list(range(cfg.replications))
-    if threads <= 1 or cfg.replications < 2 * threads:
-        blocks = [_replicate((draw, reps, rest, cfg.alpha, budget))]
-    else:
-        chunks = [list(c) for c in np.array_split(reps, 4 * threads) if len(c)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            jobs = [(draw, c, rest, cfg.alpha, budget) for c in chunks]
-            blocks = list(pool.map(_replicate, jobs))
-    est = np.empty((cfg.replications, len(ESTIMATOR_ORDER), cfg.p + 1))
-    total_retries = 0
-    for rep_ids, block_est, retries in blocks:
-        est[rep_ids] = block_est
-        total_retries += retries
-    if total_retries > budget:
-        raise ConvergenceError(
-            f"grid point (n={cfg.n}, p={cfg.p}, tau={tau}): {total_retries} failed fits "
-            f"over {cfg.replications} replications exceeds the "
-            f"{_MAX_FAILURE_RATE:.0%} budget"
-        )
+def _grid_point(cfg: SimConfig, tau: float, est: np.ndarray, retries: int) -> GridPointResult:
+    """The relative efficiencies at one tau from its estimates (reps, 5, k)."""
     diff = est - cfg.true_beta
     errs = np.sum(diff * diff, axis=-1)
     smse = {name: float(errs[:, i].mean()) for i, name in enumerate(ESTIMATOR_ORDER)}
@@ -290,14 +265,40 @@ def _grid_point(cfg: SimConfig, tau: float, threads: int) -> GridPointResult:
         sre[name] = smse["UN"] / smse[name]
         sre_se[name] = _ratio_se(errs[:, 0], errs[:, i])
     return GridPointResult(
-        n=cfg.n, p=cfg.p, tau=tau, smse=smse, sre=sre, sre_se=sre_se, n_retry=total_retries
+        n=cfg.n, p=cfg.p, tau=tau, smse=smse, sre=sre, sre_se=sre_se, n_retry=retries
     )
 
 
 def run_simulation(cfg: SimConfig, threads: int = 1) -> SimResult:
-    """All grid points of cfg, in tau order; raises ConvergenceError if any
-    grid point exceeds the failed-fit budget."""
-    grid = tuple(_grid_point(cfg, tau, threads) for tau in cfg.tau_grid)
+    """All grid points of cfg, in tau order, from one draw and one fit per
+    replication; raises ConvergenceError if the design exceeds the
+    failed-fit budget.  With threads > 1 a process pool runs the
+    replications in chunks."""
+    rests = [build_restriction(cfg.p, tau) for tau in cfg.tau_grid]
+    draw = _SimDraw(cfg.seed, cfg.n, cfg.p, cfg.true_beta)
+    budget = _MAX_FAILURE_RATE * cfg.replications
+    reps = list(range(cfg.replications))
+    if threads <= 1 or cfg.replications < 2 * threads:
+        blocks = [_replicate((draw, reps, rests, cfg.alpha, budget))]
+    else:
+        chunks = [list(c) for c in np.array_split(reps, 4 * threads) if len(c)]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            jobs = [(draw, c, rests, cfg.alpha, budget) for c in chunks]
+            blocks = list(pool.map(_replicate, jobs))
+    est = np.empty((cfg.replications, len(rests), len(ESTIMATOR_ORDER), cfg.p + 1))
+    total_retries = 0
+    for rep_ids, block_est, retries in blocks:
+        est[rep_ids] = block_est
+        total_retries += retries
+    if total_retries > budget:
+        raise ConvergenceError(
+            f"design (n={cfg.n}, p={cfg.p}): {total_retries} failed fits "
+            f"over {cfg.replications} replications exceeds the "
+            f"{_MAX_FAILURE_RATE:.0%} budget"
+        )
+    grid = tuple(
+        _grid_point(cfg, tau, est[:, t], total_retries) for t, tau in enumerate(cfg.tau_grid)
+    )
     return SimResult(config=cfg, grid=grid)
 
 

@@ -94,7 +94,7 @@ def load_restriction(path) -> LinearRestriction:
     """
     rows = []
     rhs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

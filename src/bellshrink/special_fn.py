@@ -84,14 +84,31 @@ def lambert_w0(x):
     if z.size and (np.any(z < 0.0) or not np.all(np.isfinite(z))):
         raise ValueError("lambert_w0 requires finite input >= 0")
     lz = np.log1p(z)
-    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    w = np.asarray(lz * (1.0 - np.log1p(lz) / (2.0 + lz)))
     active = np.ones(z.shape, dtype=bool)
+    # Work arrays, reused by every pass: each pass applies the operations of
+    # dw = g / (wp1 - (w + 2) g / (2 wp1)), g = w - z e**-w, wp1 = w + 1, in
+    # that order, and writes w - dw into w where the entry is still active.
+    g, wp1, t, dw = (np.empty_like(w) for _ in range(4))
+    moved = np.empty(z.shape, dtype=bool)
     for _ in range(_HALLEY_MAX_ITER):
-        g = w - z * np.exp(-w)
-        wp1 = w + 1.0
-        dw = g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
-        w = np.where(active, w - dw, w)
-        active &= np.abs(dw) > _HALLEY_TOL * np.maximum(1.0, w)
+        np.negative(w, out=g)
+        np.exp(g, out=g)
+        np.multiply(z, g, out=g)
+        np.subtract(w, g, out=g)
+        np.add(w, 1.0, out=wp1)
+        np.add(w, 2.0, out=t)
+        np.multiply(t, g, out=t)
+        np.multiply(wp1, 2.0, out=dw)
+        np.divide(t, dw, out=t)
+        np.subtract(wp1, t, out=t)
+        np.divide(g, t, out=dw)
+        np.subtract(w, dw, out=w, where=active)
+        np.abs(dw, out=dw)
+        np.maximum(w, 1.0, out=t)
+        np.multiply(t, _HALLEY_TOL, out=t)
+        np.greater(dw, t, out=moved)
+        active &= moved
         if not active.any():
             break
     if scalar:

@@ -8,13 +8,14 @@ ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
 by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
 compositions of package functions that only the tests use.
 
-Three references keep an earlier, plainer form of a package routine that
+Four references keep an earlier, plainer form of a package routine that
 was rewritten for speed with the same arithmetic: `ztp_rejection_masked`,
 the zero-truncated Poisson rejection loop that re-masks every part each
 round, `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
 `LocalAlternative` and fresh noncentral chi-square evaluations per delta,
-and `per_member_estimators`, the five estimators of one fit from their
-textbook formulas, one solve at a time.
+`per_member_estimators`, the five estimators of one fit from their
+textbook formulas, one solve at a time, and `lambert_w0_allocating`, the
+Halley iteration of `lambert_w0` with fresh arrays on every pass.
 """
 import csv
 
@@ -329,3 +330,27 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
                 f"{_fmt(float(np.trace(amse)))}"
             )
     return lines
+
+
+def lambert_w0_allocating(x):
+    """`special_fn.lambert_w0` as written before its passes reused work
+    arrays: the same seed, operations and stopping rule, each pass
+    allocating its temporaries and selecting the update with np.where."""
+    from bellshrink.special_fn import _HALLEY_MAX_ITER, _HALLEY_TOL
+
+    scalar = np.isscalar(x)
+    z = np.asarray(x, dtype=float)
+    lz = np.log1p(z)
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(_HALLEY_MAX_ITER):
+        g = w - z * np.exp(-w)
+        wp1 = w + 1.0
+        dw = g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+        w = np.where(active, w - dw, w)
+        active &= np.abs(dw) > _HALLEY_TOL * np.maximum(1.0, w)
+        if not active.any():
+            break
+    if scalar:
+        return float(w)
+    return w

@@ -44,6 +44,18 @@ def synthetic_restricted_data(n, beta, seed):
 # -------------------------------------------------------------------- loading
 
 
+def test_load_dataset_skips_a_byte_order_mark(tmp_path):
+    text = "y,x1\n3,0.5\n0,1.5\n2,0.25\n"
+    plain = load_dataset(write_csv(tmp_path, text), "y", ["x1"])
+    marked = load_dataset(write_csv(tmp_path, "\ufeff" + text, "bom.csv"), "y", ["x1"])
+    np.testing.assert_array_equal(marked[0].X, plain[0].X)
+    np.testing.assert_array_equal(marked[0].y, plain[0].y)
+    # the row-by-row walk that names a bad line reads the header the same way
+    bad = write_csv(tmp_path, "\ufeff" + text + "-2,0.1\n", "bom_bad.csv")
+    with pytest.raises(DataFormatError, match=f"{bad}:5: response '-2' is negative"):
+        load_dataset(bad, "y", ["x1"])
+
+
 def test_load_dataset_roundtrip(tmp_path):
     path = write_csv(
         tmp_path,

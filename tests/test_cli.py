@@ -239,7 +239,8 @@ def test_simulate_rejects_unknown_config_key(tmp_path):
     "text",
     [
         "n = 50\np = 3\ntau = -0.5\nreplications = 2\n",
-        "n = 50\np = 3\ntau = 0.1234561, 0.1234564\nreplications = 2\n",
+        # every tau of a design reads the same streams: a repeat is one row twice
+        "n = 50\np = 3\ntau = 0, 0.5, 0.5\nreplications = 2\n",
         # the second design is invalid; the first must not run
         "n = 50\np = 3, 2\ntau = 0\nreplications = 2\n",
         # a repeated design would run twice on the same streams
@@ -321,6 +322,37 @@ def test_missing_file_is_usage_error(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: usage:")
+
+
+def test_directory_for_a_file_flag_is_usage_error(tmp_path, capsys):
+    code = cli.main(["fit", "--data", str(tmp_path), "--response", "y", "--covariates", "x"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: usage: --data is a directory: {tmp_path}\n"
+
+
+def test_byte_order_mark_is_skipped_in_every_input_file(
+    data_csv, restriction_file, sim_config, tmp_path, capsys
+):
+    # A leading U+FEFF, as some editors write it, must not become part of
+    # the header's first name, the first restriction row or the first key.
+    def marked(path):
+        copy = tmp_path / f"bom_{path.name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def outputs(data, rest, cfg, tag):
+        est, sim = tmp_path / f"est_{tag}.csv", tmp_path / f"sim_{tag}.csv"
+        assert cli.main([
+            "estimate", "--data", str(data), "--response", "y", "--covariates", COVARIATES,
+            "--restriction", str(rest), "--out", str(est),
+        ]) == 0
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+        return est.read_bytes() + sim.read_bytes()
+
+    plain = outputs(data_csv, restriction_file, sim_config, "plain")
+    bom = outputs(marked(data_csv), marked(restriction_file), marked(sim_config), "bom")
+    assert bom == plain
+    assert "error" not in capsys.readouterr().err
 
 
 def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):

@@ -83,14 +83,13 @@ def test_stacked_draw_equals_per_replication_draw_bitwise():
     # of generate_dataset on each replication's own substream; n * k is
     # odd, so rows of the stack start at 8-byte but not 16-byte boundaries
     cfg = small_config(n=51, p=4)
-    tau = 0.5
-    draw = mc._SimDraw(cfg.seed, cfg.n, cfg.p, tau, cfg.true_beta)
+    draw = mc._SimDraw(cfg.seed, cfg.n, cfg.p, cfg.true_beta)
     reps = [4, 0, 17, 3, 9]
     for attempt in (0, 2):
         X, y = draw.stack(reps, attempt)
         assert X.shape == (len(reps), cfg.n, cfg.p + 1) and y.shape == (len(reps), cfg.n)
         for i, rep in enumerate(reps):
-            rng = mc._substream(cfg.seed, cfg.n, cfg.p, tau, rep, attempt)
+            rng = mc._substream(cfg.seed, cfg.n, cfg.p, rep, attempt)
             one = generate_dataset(cfg.n, cfg.p, cfg.true_beta, rng)
             np.testing.assert_array_equal(X[i], one.X)
             np.testing.assert_array_equal(y[i], one.y)
@@ -118,21 +117,58 @@ def test_config_rejects_negative_tau():
         SimConfig(n=50, p=3, tau_grid=(0.2, -0.5), replications=2)
 
 
-@pytest.mark.parametrize("taus", [(0.1234561, 0.1234564), (0.5, 0.5)])
-def test_config_rejects_taus_sharing_a_stream(taus):
-    # Substreams key tau as round(tau * 1e6); two such taus would draw
-    # identical data.
-    assert mc._tau_key(taus[0]) == mc._tau_key(taus[1])
-    with pytest.raises(ValueError, match=f"{taus[0]!r} and {taus[1]!r}"):
-        SimConfig(n=50, p=3, tau_grid=(0.0, *taus), replications=2)
+def test_config_rejects_repeated_tau():
+    with pytest.raises(ValueError, match=r"repeats \[0\.5\]"):
+        SimConfig(n=50, p=3, tau_grid=(0.0, 0.5, 0.2, 0.5), replications=2)
+
+
+def test_config_accepts_taus_closer_than_a_millionth():
+    # tau keys no stream, so taus that differ below 1e-6 are two rows on
+    # the same datasets: one unrestricted SMSE, two restricted ones.
+    taus = (0.0, 0.1234561, 0.1234564)
+    grid = run_simulation(small_config(tau_grid=taus, replications=20)).grid
+    assert tuple(point.tau for point in grid) == taus
+    assert grid[1].smse["UN"] == grid[2].smse["UN"]
+    assert grid[1].smse["RE"] != grid[2].smse["RE"]
 
 
 def test_valid_tau_keeps_its_stream():
-    # The key of an accepted tau is unchanged, so its draws (and CSVs) are.
-    key = (50, 3, 123456, 4, 1)
+    # Every tau of a design reads the substream keyed (n, p, 0, rep,
+    # attempt), the key tau = 0 had, so tau = 0 draws (and CSVs) keep
+    # their bytes.
+    key = (50, 3, 0, 4, 1)
     want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(9, spawn_key=key)))
-    got = mc._substream(9, 50, 3, 0.123456, 4, 1)
+    got = mc._substream(9, 50, 3, 4, 1)
     np.testing.assert_array_equal(got.random(5), want.random(5))
+
+
+def test_each_tau_row_equals_its_single_tau_run():
+    taus = (0.0, 0.5, 1.0)
+    joint = run_simulation(small_config(tau_grid=taus, replications=60)).grid
+    for tau, point in zip(taus, joint):
+        (alone,) = run_simulation(small_config(tau_grid=(tau,), replications=60)).grid
+        assert point.tau == alone.tau
+        assert point.smse == alone.smse
+        assert point.sre == alone.sre
+        assert point.sre_se == alone.sre_se
+        assert point.n_retry == alone.n_retry
+
+
+@pytest.mark.parametrize("taus", [(0.0,), (0.0, 0.5, 1.0)])
+def test_one_fit_per_replication_attempt_whatever_the_tau_grid(monkeypatch, taus):
+    real_fit_many = mc.fit_many
+    members = []
+
+    def counting_fit_many(X, y):
+        members.append(X.shape[0])
+        return real_fit_many(X, y)
+
+    monkeypatch.setattr(mc, "fit_many", counting_fit_many)
+    cfg = small_config(n=20, p=6, tau_grid=taus, replications=60, seed=4)
+    grid = run_simulation(cfg).grid
+    assert grid[0].n_retry > 0
+    assert {point.n_retry for point in grid} == {grid[0].n_retry}
+    assert sum(members) == cfg.replications + grid[0].n_retry
 
 
 def test_run_simulation_basic_structure():
@@ -251,17 +287,25 @@ def _csv_bytes(grid, tmp_path, tag):
 
 
 def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
-    # At n = 20, p = 6 a few replications fail and are redrawn, so the
-    # retry path runs under every stacking too.
+    # A member fails when its own counts sum to a multiple of 29, whatever
+    # shares its stack, so the retry path runs under every stacking.  The
+    # pool's workers fork from this process and inherit the patched fit.
+    real_fit_many = mc.fit_many
+
+    def fit_many_failing_some(X, y):
+        models = real_fit_many(X, y)
+        return [None if int(yi.sum()) % 29 == 0 else m for yi, m in zip(y, models)]
+
+    monkeypatch.setattr(mc, "fit_many", fit_many_failing_some)
     cfg = small_config(n=20, p=6, tau_grid=(0.0, 1.0), replications=60, seed=3)
     entries = cfg.n * (cfg.p + 1)
     outputs = {}
     for cap in (1, 7, cfg.replications):
-        monkeypatch.setattr(mc, "_STACK_ELEMENTS", cap * entries)
-        result = run_simulation(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_STACK_ELEMENTS", cap * entries)
+            result = run_simulation(cfg)
         outputs[f"cap {cap}"] = _csv_bytes(result.grid, tmp_path, f"cap{cap}")
     assert sum(point.n_retry for point in result.grid) > 0
-    monkeypatch.undo()
     for threads in (1, 2):
         result = run_simulation(cfg, threads=threads)
         outputs[f"threads {threads}"] = _csv_bytes(result.grid, tmp_path, f"t{threads}")

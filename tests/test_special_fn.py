@@ -28,7 +28,7 @@ from bellshrink.special_fn import (
     noncentral_chisq_cdf,
     truncated_inv_moment,
 )
-from oracles import quad_inv_moment
+from oracles import lambert_w0_allocating, quad_inv_moment
 
 # B_0 .. B_10
 BELL_INTEGERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -114,6 +114,23 @@ def test_lambert_w0_converges_in_three_passes(monkeypatch):
     w = lambert_w0(x)
     monkeypatch.setattr(special_fn, "_HALLEY_MAX_ITER", 3)
     np.testing.assert_array_equal(lambert_w0(x), w)
+
+
+def test_lambert_w0_equals_allocating_reference_bitwise():
+    # The in-place passes apply the reference's operations in its order, so
+    # every bit agrees: arrays of several shapes, 0-d arrays and floats.
+    x = np.concatenate(
+        [W_DOMAIN_EDGES, np.logspace(-320, 308, 50_000), np.linspace(0.0, 50.0, 5001)]
+    )
+    want = lambert_w0_allocating(x)
+    np.testing.assert_array_equal(lambert_w0(x), want)
+    grid = x[:5000].reshape(50, 100)
+    np.testing.assert_array_equal(lambert_w0(grid), want[:5000].reshape(50, 100))
+    for v in [*W_DOMAIN_EDGES, 0.37, 2.0, 7e5]:
+        got = lambert_w0(v)
+        assert isinstance(got, float) and got == lambert_w0_allocating(v)
+        assert lambert_w0(np.array(v)) == lambert_w0_allocating(np.array(v))
+    assert lambert_w0(np.array([])).shape == (0,)
 
 
 # ------------------------------------------------------------------ log_bell
