@@ -290,7 +290,7 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     return BREReport(
         rows=tuple(rows),
         f_stat=full_set.f_stat,
-        aic_full=aic(full),
+        aic_full=aic(full, data),
         aic_restricted=2.0 * (data.n_params - cfg.restriction.n_restrictions)
         - 2.0 * loglik(full_set.re, data),
         n_retry=retries,

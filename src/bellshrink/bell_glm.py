@@ -20,8 +20,13 @@ There is one fitting engine, `fit_many`, which runs this IRLS on a stack
 of R datasets of one shape (X as (R, n, k), y as (R, n)) with batched
 matrix products and one batched SPD solve (`linalg.spd_solve_stack`) per
 iteration, so its Python cost does not grow with the number of members.
-Members that converge leave the stack, and step halving, clamp counting,
-the convergence test and the final score check are decided per member.
+Members that converge leave the stack, and step halving, clamp counting
+and the convergence test are decided per member.  A member converges on
+the Newton decrement S' F^-1 S at an unclamped iterate (Boyd and
+Vandenberghe, Convex Optimization, 2004, sec. 9.5.1), which does not
+depend on the scale of the covariates; the decrement is the solved step
+dotted with the score, so the test costs nothing beyond the solve, and the
+fit never evaluates the log-likelihood or its Bell-number constants.
 Theta at each accepted iterate is kept for the next iteration and for the
 fitted model, so an iteration costs one Lambert W evaluation.  The Newton
 step is solved for directly, not as the next iterate less the current one,
@@ -52,11 +57,9 @@ __all__ = [
     "Dataset",
     "FittedModel",
     "aic",
-    "fisher_information",
     "fit",
     "fit_many",
     "loglik",
-    "score",
 ]
 
 logger = logging.getLogger(__name__)
@@ -64,10 +67,10 @@ logger = logging.getLogger(__name__)
 # A step is halved only when it lowers the clamped kernel by more than this
 # fraction of (1 + |kernel|), so roundoff near the optimum cannot shrink it.
 _KERNEL_RTOL = 1e-11
-# Stop when every entry of the full Newton step is below _TOL; give up after
-# _MAX_ITER iterations; clamp the linear predictor to +-_ETA_BOUND; halve a
-# step at most _MAX_HALVINGS times.
-_TOL = 1e-8
+# Converge once the Newton decrement S' F^-1 S at an unclamped iterate is
+# below _DECREMENT_TOL; give up after _MAX_ITER iterations; clamp the linear
+# predictor to +-_ETA_BOUND; halve a step at most _MAX_HALVINGS times.
+_DECREMENT_TOL = 1e-12
 _MAX_ITER = 100
 _ETA_BOUND = 30.0
 _MAX_HALVINGS = 10
@@ -118,13 +121,13 @@ class Dataset:
 @dataclass(frozen=True)
 class FittedModel:
     """IRLS output: coefficients, total Fisher information at the optimum,
-    the full log-likelihood there, and iteration diagnostics.  Information
-    and log-likelihood are taken at the clamped linear predictor, which
-    differs from the plain one only in fits that end with converged=False."""
+    and iteration diagnostics.  The information is taken at the clamped
+    linear predictor, which differs from the plain one only in fits that
+    end with converged=False.  `loglik(model.beta, data)` gives the
+    log-likelihood."""
 
     beta: np.ndarray
     fisher_info: np.ndarray
-    loglik: float
     converged: bool
     n_iter: int
     n_clamped: int
@@ -153,46 +156,17 @@ def _kernel(eta: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(contrib) - np.sum(np.exp(theta)) + y.size)
 
 
-def _bell_constants(counts: np.ndarray) -> np.ndarray:
-    """sum_i log(B_{y_i} / y_i!) for each row of counts (m, n).
-
-    One table of Bell logs serves the whole stack.  Each row sums its
-    distinct counts in ascending order, each term weighted by how often
-    its count occurs, so a row's value does not depend on the others."""
-    s = np.sort(counts, axis=1)
-    first = np.ones(s.shape, dtype=bool)
-    first[:, 1:] = s[:, 1:] != s[:, :-1]
-    starts = np.flatnonzero(first)  # flat position of each row's distinct counts
-    vals, inv = np.unique(s.ravel()[starts], return_inverse=True)
-    terms = np.diff(starts, append=s.size) * (log_bell_many(vals) - gammaln(vals + 1.0))[inv]
-    ends = np.cumsum(np.count_nonzero(first, axis=1)).tolist()
-    return np.array([terms[a:b].sum() for a, b in zip([0, *ends], ends)])
-
-
 def _bell_constant(y: np.ndarray) -> float:
-    return float(_bell_constants(y[None])[0])
+    """sum_i log(B_{y_i} / y_i!), summed over the distinct counts in
+    ascending order, each term weighted by how often its count occurs."""
+    vals, counts = np.unique(y, return_counts=True)
+    return float(np.sum(counts * (log_bell_many(vals) - gammaln(vals + 1.0))))
 
 
 def loglik(beta, data: Dataset) -> float:
     """Full Bell log-likelihood at beta (Bell-number constants included)."""
     eta = _linear_predictor(beta, data)
     return _kernel(eta, data.y) + _bell_constant(data.y)
-
-
-def score(beta, data: Dataset) -> np.ndarray:
-    eta = _linear_predictor(beta, data)
-    mu = np.exp(eta)
-    theta = lambert_w0(mu)
-    return data.X.T @ ((data.y - mu) / (1.0 + theta))
-
-
-def fisher_information(beta, data: Dataset) -> np.ndarray:
-    """Total expected information X' diag(mu/(1+theta)) X at beta."""
-    eta = _linear_predictor(beta, data)
-    mu = np.exp(eta)
-    theta = lambert_w0(mu)
-    v = mu / (1.0 + theta)
-    return data.X.T @ (data.X * v[:, None])
 
 
 def _take(parts, rows):
@@ -202,11 +176,10 @@ def _take(parts, rows):
 
 class _Members(NamedTuple):
     """The members still in a stack: design (m, n, k), responses as floats
-    and as counts (m, n), positions in the caller's stack, clamp counts."""
+    (m, n), positions in the caller's stack, clamp counts."""
 
     X: np.ndarray
     y: np.ndarray
-    counts: np.ndarray
     ids: np.ndarray
     n_clamped: np.ndarray
 
@@ -260,14 +233,14 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
     Returns one FittedModel per member, or None for a singular member: one
     whose design is rank deficient, or whose information matrix
     `linalg.spd_solve_stack` flags.  Members run the IRLS of `fit` side by
-    side, with its fixed tolerance (1e-8), iteration cap (100), clamp
+    side, with its decrement tolerance (1e-12), iteration cap (100), clamp
     (|eta| <= 30) and halving count (10) and one batched solve per
     iteration, and leave the stack as they converge; a member's result does
     not depend on which others share it.
     """
     X, counts = _checked(X, y, stacked=True)
     models: list[FittedModel | None] = [None] * X.shape[0]
-    m = _Members(X, counts.astype(float), counts, np.arange(X.shape[0]), np.zeros(X.shape[0], int))
+    m = _Members(X, counts.astype(float), np.arange(X.shape[0]), np.zeros(X.shape[0], int))
     # One SVD per member gives both numpy's matrix_rank test (the smallest
     # singular value above max(n, k) * eps times the largest) and the
     # least-squares start on log(y + 0.5), as lstsq computes it.
@@ -286,21 +259,12 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
         info = Xt @ (m.X * v[..., None])
         stop = done if n_iter < _MAX_ITER else np.ones_like(done)
         if stop.any():
-            fin = np.flatnonzero(stop)
-            ll = cur.kern[fin] + _bell_constants(m.counts[fin])
-            score = np.linalg.norm((Xt[fin] @ resid[fin][..., None])[..., 0], axis=-1)
-            converged = (
-                done[fin]
-                & (cur.clipped[fin] == 0)
-                & np.isfinite(ll)
-                & (score <= 1e-6 * (1.0 + np.abs(ll)))
-            )
-            for j, i in enumerate(fin):
+            converged = done & (cur.clipped == 0)
+            for i in np.flatnonzero(stop):
                 models[m.ids[i]] = FittedModel(
                     beta=cur.beta[i].copy(),
                     fisher_info=info[i].copy(),
-                    loglik=float(ll[j]),
-                    converged=bool(converged[j]),
+                    converged=bool(converged[i]),
                     n_iter=n_iter,
                     n_clamped=int(m.n_clamped[i]),
                 )
@@ -320,10 +284,13 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
         rhs = (Xt @ (v * cur.excess + resid)[..., None])[..., 0]
         step, ok = spd_solve_stack(info, rhs)
         if not ok.all():
-            m, cur, step = _take(m, ok), _take(cur, ok), step[ok]
+            m, cur, rhs, step = _take(m, ok), _take(cur, ok), rhs[ok], step[ok]
             if not m.ids.size:
                 break
-        done = np.max(np.abs(step), axis=-1) < _TOL
+        # With no clamped predictor the excess is zero and rhs is the score,
+        # so rhs . step is the Newton decrement.  The step is still taken,
+        # and the member finishes at the next pass.
+        done = (cur.clipped == 0) & (np.sum(rhs * step, axis=-1) < _DECREMENT_TOL)
         cur = _line_search(m, cur, step)
     return models
 
@@ -334,10 +301,11 @@ def fit(data: Dataset) -> FittedModel:
 
     The linear predictor is clamped to [-30, 30] inside iterations (clamp
     events are counted and logged); a step that lowers the clamped kernel
-    by more than roundoff is halved up to 10 times.  Convergence takes
-    max|step| < 1e-8 on the full Newton step, a fitted point with no
-    clamped linear predictor, and a score norm below 1e-6 * (1 + |loglik|);
-    a fit still running after 100 iterations stops there.  Anything else,
+    by more than roundoff is halved up to 10 times.  Convergence takes a
+    Newton decrement S' F^-1 S below 1e-12 at an iterate with no clamped
+    linear predictor, and no clamped linear predictor at the point that
+    iterate's step reaches, which is the one returned; a fit still running
+    after 100 iterations stops there.  Anything else,
     including data with no finite MLE, returns converged=False rather than
     raising.  A rank-deficient design or an information matrix that fails
     the Cholesky solve raises SingularMatrixError.
@@ -348,6 +316,6 @@ def fit(data: Dataset) -> FittedModel:
     return model
 
 
-def aic(model: FittedModel) -> float:
-    """2k - 2 loglik with k = len(beta)."""
-    return 2.0 * model.beta.size - 2.0 * model.loglik
+def aic(model: FittedModel, data: Dataset) -> float:
+    """2k - 2 loglik(beta, data) with k = len(beta), for a model fitted to data."""
+    return 2.0 * model.beta.size - 2.0 * loglik(model.beta, data)

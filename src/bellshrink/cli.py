@@ -28,7 +28,7 @@ from .application import (
     write_bre_csv,
 )
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
-from .bell_glm import aic, fit
+from .bell_glm import aic, fit, loglik
 from .linalg import spd_inverse, spd_solve
 from .montecarlo import (
     ConvergenceError,
@@ -213,8 +213,8 @@ def _cmd_fit(args) -> int:
         ["coefficient", "estimate", "se"],
         [[n, _fmt(b), _fmt(s)] for n, b, s in zip(names, model.beta, se)],
     )
-    print(f"loglik = {_fmt(model.loglik)}")
-    print(f"AIC = {_fmt(aic(model))}")
+    print(f"loglik = {_fmt(loglik(model.beta, data))}")
+    print(f"AIC = {_fmt(aic(model, data))}")
     if args.out:
         lines = ["coefficient,estimate,se"]
         lines += [f"{n},{_fmt(b)},{_fmt(s)}" for n, b, s in zip(names, model.beta, se)]

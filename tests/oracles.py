@@ -6,7 +6,10 @@ explicit KKT system, inverse moments via adaptive quadrature, the
 limiting-distribution moments via brute-force normal sampling, CSV
 ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
 by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
-compositions of package functions that only the tests use.
+compositions of package functions that only the tests use.  `score` and
+`fisher_information` write out the Bell score and expected information of
+one dataset apart from the batched IRLS of `fit_many`, so tests can check
+the Newton decrement S' F^-1 S at the points it returns.
 
 Four references keep an earlier, plainer form of a package routine that
 was rewritten for speed with the same arithmetic: `ztp_rejection_masked`,
@@ -260,7 +263,26 @@ def lr_statistic(model, data, rest):
     from bellshrink.bell_glm import loglik
     from bellshrink.shrinkage import compute_all
 
-    return 2.0 * (model.loglik - loglik(compute_all(model, rest).re, data))
+    return 2.0 * (loglik(model.beta, data) - loglik(compute_all(model, rest).re, data))
+
+
+def score(beta, data):
+    """Bell-regression score X'(y - mu)/(1 + theta) at beta."""
+    from bellshrink.special_fn import lambert_w0
+
+    mu = np.exp(data.X @ np.asarray(beta, dtype=float))
+    theta = lambert_w0(mu)
+    return data.X.T @ ((data.y - mu) / (1.0 + theta))
+
+
+def fisher_information(beta, data):
+    """Total expected information X' diag(mu/(1+theta)) X at beta."""
+    from bellshrink.special_fn import lambert_w0
+
+    mu = np.exp(data.X @ np.asarray(beta, dtype=float))
+    theta = lambert_w0(mu)
+    v = mu / (1.0 + theta)
+    return data.X.T @ (data.X * v[:, None])
 
 
 def per_member_estimators(model, rest, alpha):

@@ -53,7 +53,6 @@ def _synthetic_model(beta, fisher):
     return FittedModel(
         beta=np.asarray(beta, dtype=float),
         fisher_info=np.asarray(fisher, dtype=float),
-        loglik=0.0,
         converged=True,
         n_iter=1,
         n_clamped=0,

@@ -407,6 +407,6 @@ def test_bootstrap_report_prefers_restricted_aic_when_restriction_true():
     assert report.f_stat >= 0.0
     assert report.aic_restricted < report.aic_full
     full = fit(data)
-    assert report.aic_full == 2.0 * 4 - 2.0 * full.loglik
+    assert report.aic_full == 2.0 * 4 - 2.0 * loglik(full.beta, data)
     re = compute_all(full, rest).re
     assert report.aic_restricted == 2.0 * (4 - 2) - 2.0 * loglik(re, data)

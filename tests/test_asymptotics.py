@@ -15,7 +15,7 @@ from bellshrink import asymptotics, cli, shrinkage
 from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from bellshrink.shrinkage import ESTIMATOR_ORDER, LinearRestriction, load_restriction
 from bellshrink.special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf
-from oracles import max_z_score, normal_theory_moments, theory_sweep_lines
+from oracles import fisher_information, max_z_score, normal_theory_moments, theory_sweep_lines
 
 SEED = 771239
 ALPHA = 0.05
@@ -372,7 +372,7 @@ def test_shrinkage_bias_describes_fitted_estimators():
     # and cancels the O(n^-1/2) fitting bias common to both estimators,
     # which would otherwise sit at the 3-standard-error resolution
     from bellshrink.bell_dist import sample_counts
-    from bellshrink.bell_glm import Dataset, fisher_information, fit_many
+    from bellshrink.bell_glm import Dataset, fit_many
     from bellshrink.montecarlo import build_restriction
     from bellshrink.shrinkage import ESTIMATOR_ORDER, estimate_many
     from bellshrink.special_fn import lambert_w0

@@ -7,24 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from bellshrink import bell_glm
+from bellshrink import bell_glm, special_fn
 from bellshrink.bell_dist import BellParam, log_pmf
 from bellshrink.bell_glm import (
     Dataset,
     FittedModel,
     _bell_constant,
-    _bell_constants,
     aic,
-    fisher_information,
     fit,
     fit_many,
     loglik,
-    score,
 )
 from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.montecarlo import generate_dataset
 from bellshrink.special_fn import log_bell, log_bell_many
 from conftest import build_design, simulate_dataset
+from oracles import fisher_information, score
 
 SEED = 90210
 
@@ -57,20 +55,6 @@ def test_bell_constant_equals_per_value_sum_bitwise(y):
     lb = np.array([log_bell(int(v)) for v in vals])
     assert _bell_constant(y) == float(np.sum(counts * (lb - gammaln(vals + 1.0))))
     np.testing.assert_array_equal(log_bell_many(vals), lb)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=0, max_value=700), min_size=12, max_size=12),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_bell_constants_of_a_stack_equal_each_row_alone(rows):
-    # one table of Bell logs for the stack; each row sums its own terms
-    Y = np.array(rows, dtype=np.int64)
-    np.testing.assert_array_equal(_bell_constants(Y), [_bell_constant(y) for y in Y])
 
 
 def test_log_bell_many_rejects_negative_or_fractional_input():
@@ -120,7 +104,7 @@ def test_fit_is_local_optimum():
     for _ in range(20):
         direction = rng.standard_normal(model.beta.size)
         direction *= 0.1 / np.linalg.norm(direction)
-        assert loglik(model.beta + direction, data) <= model.loglik
+        assert loglik(model.beta + direction, data) <= loglik(model.beta, data)
 
 
 def test_fit_score_norm_small_at_convergence():
@@ -128,7 +112,7 @@ def test_fit_score_norm_small_at_convergence():
     model = fit(data)
     assert model.converged
     s = score(model.beta, data)
-    assert np.linalg.norm(s) <= 1e-6 * (1.0 + abs(model.loglik))
+    assert np.linalg.norm(s) <= 1e-6 * (1.0 + abs(loglik(model.beta, data)))
 
 
 def test_null_model_recovery():
@@ -220,28 +204,33 @@ def test_duplicate_column_raises_singularity_error():
 
 
 def test_aic_definition():
+    # three zero counts at theta = W(e) = 1, each contributing 1 - e, and
+    # k = 2 parameters
+    data = Dataset(X=np.column_stack([np.ones(3), np.zeros(3)]), y=np.zeros(3, dtype=int))
     model = FittedModel(
-        beta=np.zeros(2),
+        beta=np.array([1.0, 0.0]),
         fisher_info=np.eye(2),
-        loglik=0.0,
         converged=True,
         n_iter=1,
         n_clamped=0,
     )
-    assert aic(model) == 4.0
+    assert aic(model, data) == 4.0 - 2.0 * loglik(model.beta, data)
+    assert aic(model, data) == pytest.approx(4.0 - 6.0 * (1.0 - math.e), rel=1e-14)
 
 
 def test_aic_noise_covariate_delta():
     data = simulate_dataset(300, [0.5, 0.3], SEED + 14)
     rng = np.random.default_rng(SEED + 15)
     X_wide = np.column_stack([data.X, 0.3 * rng.standard_normal(300)])
+    wide_data = Dataset(X=X_wide, y=data.y)
     narrow = fit(data)
-    wide = fit(Dataset(X=X_wide, y=data.y))
-    delta = aic(wide) - aic(narrow)
-    assert delta == pytest.approx(2.0 - 2.0 * (wide.loglik - narrow.loglik), abs=1e-10)
+    wide = fit(wide_data)
+    ll_narrow, ll_wide = loglik(narrow.beta, data), loglik(wide.beta, wide_data)
+    delta = aic(wide, wide_data) - aic(narrow, data)
+    assert delta == pytest.approx(2.0 - 2.0 * (ll_wide - ll_narrow), abs=1e-10)
     # the noise covariate cannot help by more than its parameter penalty often;
     # at minimum the likelihood cannot decrease when a column is added
-    assert wide.loglik >= narrow.loglik - 1e-9
+    assert ll_wide >= ll_narrow - 1e-9
 
 
 @given(
@@ -252,10 +241,11 @@ def test_aic_noise_covariate_delta():
 )
 @settings(max_examples=60, deadline=None)
 def test_converged_fit_has_negligible_newton_decrement(seed, n, p, scale):
-    # Convergence is decided on the full Newton step (max |step| < 1e-8), so
-    # the decrement S' F^-1 S left at the returned point is of the order of
-    # that step squared; 1e-12 leaves a wide margin above roundoff while
-    # catching fits that stop on a halved step short of the optimum.
+    # A fit converges once the decrement S' F^-1 S of an unclamped iterate
+    # is below 1e-12, and returns the point that iterate's Newton step
+    # reaches, whose decrement is smaller still.  Score and information are
+    # recomputed here apart from the engine, so this catches a fit that
+    # stops on a halved step short of the optimum or misreads its decrement.
     beta = np.random.default_rng(seed).normal(0.0, 1.0, p + 1)
     data = simulate_dataset(n, beta, seed, scale=scale)
     model = fit(data)
@@ -289,9 +279,7 @@ def test_all_zero_response_is_not_reported_as_converged():
 def _assert_same_fit(a: FittedModel, b: FittedModel) -> None:
     np.testing.assert_array_equal(a.beta, b.beta)
     np.testing.assert_array_equal(a.fisher_info, b.fisher_info)
-    assert (a.loglik, a.converged, a.n_iter, a.n_clamped) == (
-        b.loglik, b.converged, b.n_iter, b.n_clamped
-    )
+    assert (a.converged, a.n_iter, a.n_clamped) == (b.converged, b.n_iter, b.n_clamped)
 
 
 def test_stack_members_match_their_own_fits_bitwise():
@@ -338,14 +326,15 @@ def test_fit_many_applies_the_dataset_checks(defect):
         fit_many(X, y)
 
 
-@pytest.mark.parametrize("offset, converges", [(1e4, True), (1e6, False)])
+@pytest.mark.parametrize("offset, converges", [(1e4, True), (1e6, True)])
 def test_large_offset_covariate_reaches_the_centred_optimum(offset, converges):
     # A covariate offset + N(0, 1) (timestamps over a short span, say) is full
     # rank but badly conditioned against the intercept.  The fit must match
     # the centred fit, mapped back by b0 -> b0 + offset * b1.  At 1e6 the
     # intercept is only determined to about 1e-6 by the roundoff of X beta,
-    # so the absolute step test (1e-8) cannot pass there; the point reached
-    # must still be the optimum.
+    # so no test on the size of the step could pass there; the Newton
+    # decrement does not depend on the scale of the covariates, and the fit
+    # converges at both offsets.
     rng = np.random.default_rng(SEED + 20)
     z = rng.standard_normal((200, 2))
     centred = np.column_stack([np.ones(200), z])
@@ -358,3 +347,19 @@ def test_large_offset_covariate_reaches_the_centred_optimum(offset, converges):
     mapped = model.beta.copy()
     mapped[0] += offset * mapped[1]
     np.testing.assert_allclose(mapped, ref.beta, rtol=0, atol=1e-7)
+
+
+def test_fit_many_evaluates_no_bell_number(monkeypatch):
+    # Convergence needs only the score and the information, so fitting
+    # never reaches the Bell-number constants of the log-likelihood, which
+    # are costly for counts above 512.
+    def refuse(*args):
+        raise AssertionError("the fit evaluated a Bell number")
+
+    monkeypatch.setattr(bell_glm, "log_bell_many", refuse)
+    monkeypatch.setattr(special_fn, "log_bell", refuse)
+    rng = np.random.default_rng(SEED + 22)
+    X = np.stack([build_design(80, 2, rng) for _ in range(4)])
+    y = rng.poisson(np.exp(X @ np.array([6.5, 0.2, -0.1])))
+    assert y.max() > 512
+    assert all(model.converged for model in fit_many(X, y))

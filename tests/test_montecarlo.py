@@ -234,7 +234,6 @@ def test_nonconvergence_budget_enforced(monkeypatch):
             FittedModel(
                 beta=np.zeros(k),
                 fisher_info=np.eye(k),
-                loglik=0.0,
                 converged=False,
                 n_iter=100,
                 n_clamped=0,
