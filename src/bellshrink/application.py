@@ -23,7 +23,7 @@ import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
 from .montecarlo import ConvergenceError, _fmt, _replicate, write_lines
-from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, compute_all, estimator_names
+from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, _numpy_float, compute_all, estimator_names
 
 __all__ = [
     "BootstrapConfig",
@@ -89,15 +89,6 @@ class BREReport:
     n_retry: int
     replications: int
     coef_names: tuple[str, ...]
-
-
-def _numpy_float(token: str) -> float:
-    """float(token) under numpy's float syntax, which `np.loadtxt` applies:
-    surrounding whitespace, then an ASCII number without digit separators."""
-    core = token.strip()
-    if "_" in core or not core.isascii():
-        raise ValueError(f"could not convert string {token!r} to float64")
-    return float(core)
 
 
 def _parse_count(token: str, where: str) -> None:

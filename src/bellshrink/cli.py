@@ -22,7 +22,6 @@ from scipy.special import chdtrc
 from .application import (
     BootstrapConfig,
     DataFormatError,
-    _numpy_float,
     bootstrap_bre,
     load_dataset,
     write_bre_csv,
@@ -39,7 +38,7 @@ from .montecarlo import (
     write_lines,
     write_table_csv,
 )
-from .shrinkage import ESTIMATOR_ORDER, compute_all, estimator_names, load_restriction
+from .shrinkage import ESTIMATOR_ORDER, _numpy_float, compute_all, estimator_names, load_restriction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [_numpy_float(tok) for tok in text.split(",") if tok.strip() != ""]
         if vals and all(math.isfinite(v) for v in vals):
             return vals
     except ValueError:
@@ -72,7 +71,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def _alpha(text: str) -> float:
     """Type of every --alpha flag: a pretest level in (0, 1)."""
     try:
-        alpha = float(text)
+        alpha = _numpy_float(text)
         if 0.0 < alpha < 1.0:
             return alpha
     except ValueError:
@@ -385,15 +384,16 @@ def _parse_sim_config(path) -> dict:
     out = {
         "n": listed("n", int, "integers"),
         "p": listed("p", int, "integers"),
-        "tau": listed("tau", float, "numbers"),
+        "tau": listed("tau", _numpy_float, "numbers"),
     }
-    for key, cast in (("replications", int), ("alpha", float), ("seed", int)):
+    for key, cast in (("replications", int), ("alpha", _numpy_float), ("seed", int)):
         if key in values:
             val, lineno = values[key]
             try:
                 out[key] = cast(val)
             except ValueError:
-                raise UsageError(f"{path}:{lineno}: {key} must be a {cast.__name__}") from None
+                what = "an integer" if cast is int else "a number"
+                raise UsageError(f"{path}:{lineno}: {key} must be {what}") from None
     return out
 
 

@@ -141,12 +141,24 @@ def build_restriction(p: int, tau: float) -> LinearRestriction:
 
 def generate_dataset(n: int, p: int, true_beta, rng: np.random.Generator) -> Dataset:
     """Fresh standard normal covariates, Bell counts through the log link."""
-    true_beta = np.asarray(true_beta, dtype=float)
-    X = np.empty((n, p + 1))
-    X[:, 0] = 1.0
-    X[:, 1:] = rng.standard_normal((n, p))
-    theta = lambert_w0(np.exp(X @ true_beta))
-    return Dataset(X, sample_counts(theta, rng))
+    X, y = _draw([rng], n, p, np.asarray(true_beta, dtype=float))
+    return Dataset(X[0], y[0])
+
+
+def _draw(rngs, n: int, p: int, true_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One dataset per generator as X (m, n, p + 1) and y (m, n): each
+    generator draws its covariates and then its counts, and theta comes
+    from one Lambert W call, which is element-wise, so a dataset's bits do
+    not depend on the others drawn with it."""
+    X = np.empty((len(rngs), n, p + 1))
+    X[..., 0] = 1.0
+    eta = np.empty((len(rngs), n))
+    for x, e, rng in zip(X, eta, rngs):
+        x[:, 1:] = rng.standard_normal((n, p))
+        e[:] = x @ true_beta
+    theta = lambert_w0(np.exp(eta))
+    y = np.stack([sample_counts(t, rng) for t, rng in zip(theta, rngs)])
+    return X, y
 
 
 def _substream(seed: int, n: int, p: int, rep: int, attempt: int):
@@ -168,22 +180,11 @@ class _SimDraw:
         return f" at (n={self.n_obs}, p={self.p})"
 
     def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        """The datasets of reps on one attempt as X (m, n, k) and y (m, n),
-        bit for bit those `generate_dataset` draws from each replication's
-        (rep, attempt) substream: each substream draws its covariates and
-        then its counts, and theta comes from one Lambert W call, which is
-        element-wise."""
+        """The datasets of reps on one attempt, each drawn from its
+        replication's (rep, attempt) substream."""
         n, p = self.n_obs, self.p
         rngs = [_substream(self.seed, n, p, rep, attempt) for rep in reps]
-        X = np.empty((len(rngs), n, p + 1))
-        X[..., 0] = 1.0
-        eta = np.empty((len(rngs), n))
-        for x, e, rng in zip(X, eta, rngs):
-            x[:, 1:] = rng.standard_normal((n, p))
-            e[:] = x @ self.true_beta
-        theta = lambert_w0(np.exp(eta))
-        y = np.stack([sample_counts(t, rng) for t, rng in zip(theta, rngs)])
-        return X, y
+        return _draw(rngs, n, p, self.true_beta)
 
 
 def _replicate(job) -> tuple[list[int], np.ndarray, int]:
@@ -237,7 +238,10 @@ def _replicate(job) -> tuple[list[int], np.ndarray, int]:
 
 
 def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
-    """Delta-method standard error of mean(a)/mean(b) from paired samples."""
+    """Delta-method standard error of mean(a)/mean(b) from paired samples;
+    exactly 0 when the samples are equal, so the ratio is 1 on every draw."""
+    if np.array_equal(a, b):
+        return 0.0
     reps = a.size
     if reps < 2:
         return float("nan")

@@ -55,6 +55,16 @@ def estimator_names(r: int) -> tuple[str, ...]:
     return tuple(name for name in ESTIMATOR_ORDER if name not in ("JSE", "PJSE"))
 
 
+def _numpy_float(token: str) -> float:
+    """float(token) under numpy's float syntax, which `np.loadtxt` applies to
+    data: surrounding whitespace, then an ASCII number without digit
+    separators.  Every other float the package reads goes through it."""
+    core = token.strip()
+    if "_" in core or not core.isascii():
+        raise ValueError(f"could not convert string {token!r} to float64")
+    return float(core)
+
+
 @dataclass(frozen=True)
 class LinearRestriction:
     """Linear constraint H beta = h with H full row rank, r <= k."""
@@ -88,23 +98,24 @@ def load_restriction(path) -> LinearRestriction:
     """Parse a plain-text restriction file.
 
     One row per line: the entries of that row of H, whitespace-separated,
-    then a '|', then the corresponding entry of h.  Blank lines and lines
-    starting with '#' are skipped.  A malformed file raises ValueError
-    naming the path, and the line where one line is at fault.
+    then a '|', then the corresponding entry of h, all in numpy's float
+    syntax.  '#' starts a comment, and blank lines are skipped.  A
+    malformed file raises ValueError naming the path, and the line where
+    one line is at fault.
     """
     rows = []
     rhs = []
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
             if line.count("|") != 1:
                 raise ValueError(f"{path}:{lineno}: expected exactly one '|' separator")
             left, right = line.split("|")
             try:
-                row = [float(tok) for tok in left.split()]
-                val = float(right)
+                row = [_numpy_float(tok) for tok in left.split()]
+                val = _numpy_float(right)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
             if not row:

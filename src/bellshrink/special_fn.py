@@ -5,7 +5,7 @@ Three families live here:
 * the principal branch of the Lambert W function, which maps a Bell mean
   back to its canonical parameter,
 * logarithms of the Bell numbers, which enter the count log-likelihood as
-  observation constants,
+  observation constants, from Dobinski's series to double precision,
 * the noncentral chi-square distribution function together with the plain
   and truncated inverse moments ``E[X**-1]``, ``E[X**-2]``,
   ``E[X**-k 1{X < c}]`` that drive the analytic risk formulas.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,88 +117,43 @@ def lambert_w0(x):
 
 # --- Bell numbers ---------------------------------------------------------
 #
-# Exact integer arithmetic (the Bell triangle) up to _EXACT_LIMIT, then a
-# saddle-point window of the series  B_n = e**-1 * sum_l l**n / l!  summed
-# in log space.  The triangle is quadratic in n, so the exact path is kept
-# for the range where it is both cheap and bit-reproducible; the series
-# window covers the long counts that large-mean regressions generate.
-
-_EXACT_LIMIT = 512
-
-_bell_lock = threading.Lock()
-_bell_logs: list[float] = [0.0]  # log B_0
-_bell_row: list[int] = [1]  # latest Bell-triangle row
-_bell_large: dict[int, float] = {}
-
-
-def _extend_exact(n: int) -> None:
-    global _bell_row
-    while len(_bell_logs) <= n:
-        prev = _bell_row
-        row = [prev[-1]]
-        for a in prev:
-            row.append(row[-1] + a)
-        _bell_row = row
-        _bell_logs.append(math.log(row[0]))
-
-
-def _log_bell_series(n: int) -> float:
-    # Series maximizer solves l*log(l) = n, i.e. l* = n / W(n).
-    u = lambert_w0(float(n))
-    center = n / u
-    sigma = math.sqrt(center / (u + 1.0))
-    lo = max(1, int(center - 14.0 * sigma) - 20)
-    hi = int(center + 14.0 * sigma) + 20
-    ls = np.arange(lo, hi + 1, dtype=float)
-    t = n * np.log(ls) - gammaln(ls + 1.0)
-    m = float(t.max())
-    return m + math.log(float(np.sum(np.exp(t - m)))) - 1.0
+# Dobinski's series  B_n = e**-1 * sum_l l**n / l!,  summed in log space over
+# a window around its largest term, for every n >= 1; B_0 = 1.  The terms
+# peak at l* = n / W(n), where l log l = n, with spread
+# sigma = sqrt(l* / (W(n) + 1)), and the window runs from 14 sigma + 20
+# below l* to as far above, so it holds the sum to double precision.
 
 
 def log_bell(n) -> float:
-    """log of the n-th Bell number, exact-integer below 512, series above.
-
-    Values are cached; the cache may be read concurrently while a single
-    writer extends it.
-    """
+    """log of the n-th Bell number, by Dobinski's series: `log_bell_many`
+    of the one value."""
     if not float(n).is_integer() or n < 0:
         raise ValueError(f"Bell numbers need integer n >= 0, got {n!r}")
-    n = int(n)
-    if n <= _EXACT_LIMIT:
-        if n < len(_bell_logs):
-            return _bell_logs[n]
-        with _bell_lock:
-            _extend_exact(n)
-            return _bell_logs[n]
-    cached = _bell_large.get(n)
-    if cached is not None:
-        return cached
-    with _bell_lock:
-        cached = _bell_large.get(n)
-        if cached is None:
-            cached = _log_bell_series(n)
-            _bell_large[n] = cached
-        return cached
+    return float(log_bell_many(np.array([int(n)]))[0])
 
 
 def log_bell_many(n: np.ndarray) -> np.ndarray:
-    """`log_bell` of every entry of an integer array, to the same bits:
-    entries up to 512 in one lookup in the exact cache, larger ones one
-    call each."""
+    """log B_n of every entry of an integer array.  The distinct values
+    share one Lambert W call for their saddle points, and each value's
+    window is summed on its own, so an entry's bits do not depend on the
+    other entries."""
     n = np.asarray(n)
     if n.size and (n.dtype.kind not in "iu" or n.min() < 0):
         raise ValueError("Bell numbers need integer n >= 0")
-    out = np.empty(n.shape)
-    exact = n <= _EXACT_LIMIT
-    if exact.any():
-        top = int(n[exact].max())
-        if top >= len(_bell_logs):
-            with _bell_lock:
-                _extend_exact(top)
-        out[exact] = np.array(_bell_logs[: top + 1])[n[exact]]
-    for i in np.flatnonzero(~exact):
-        out.flat[i] = log_bell(int(n.flat[i]))
-    return out
+    vals, inverse = np.unique(n, return_inverse=True)
+    saddles = lambert_w0(vals.astype(float))
+    logs = np.zeros(vals.shape)  # log B_0 = 0
+    for i in np.flatnonzero(vals):
+        v, u = int(vals[i]), float(saddles[i])
+        center = v / u
+        sigma = math.sqrt(center / (u + 1.0))
+        lo = max(1, int(center - 14.0 * sigma) - 20)
+        hi = int(center + 14.0 * sigma) + 20
+        ls = np.arange(lo, hi + 1, dtype=float)
+        t = v * np.log(ls) - gammaln(ls + 1.0)
+        m = float(t.max())
+        logs[i] = m + math.log(float(np.sum(np.exp(t - m)))) - 1.0
+    return logs[inverse].reshape(n.shape)
 
 
 # --- noncentral chi-square -------------------------------------------------

@@ -381,10 +381,14 @@ def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):
         ("theory", "0 1 0 0 0 | 0\udcff\n", None, "rest.txt: not UTF-8"),
         ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\udcff\n", "fisher.csv: not UTF-8"),
         ("simulate", "# caf\udce9\nn = 20\np = 3\ntau = 0\n", None, "sim.cfg: not UTF-8"),
+        ("simulate", "n = 20\np = 3\ntau = 0, 1_0\nreplications = 2\n", None,
+         "sim.cfg:3: tau must be comma-separated numbers"),
+        ("simulate", "n = 20\np = 3\ntau = 0\nalpha = 0.0_5\nreplications = 2\n", None,
+         "sim.cfg:4: alpha must be a number"),
     ],
     ids=[
         "no-separator", "non-numeric", "rank-deficient", "fisher-cell", "rest-bytes",
-        "fisher-bytes", "config-bytes",
+        "fisher-bytes", "config-bytes", "config-tau-separator", "config-alpha-separator",
     ],
 )
 def test_malformed_restriction_or_fisher_file_is_usage_error(
@@ -454,6 +458,11 @@ def test_data_file_not_utf8_is_data_error(tmp_path):
         ["simulate", "--config", "{cfg}", "--seed", "-1", "--out", "{out}"],
         ["simulate", "--config", "{cfg}", "--threads", "0", "--out", "{out}"],
         ["simulate", "--config", "{cfg}", "--threads", "-3", "--out", "{out}"],
+        # numpy's float syntax, as in the data, restriction, Fisher and config files
+        ["theory", "--restriction", "{rest}", "--gamma", "1_0"],
+        ["theory", "--restriction", "{rest}", "--delta-grid", "1,1_0"],
+        ["theory", "--restriction", "{rest}", "--delta-grid", "1", "--direction", "1_0,0,0"],
+        ["theory", "--restriction", "{rest}", "--gamma", "0", "--alpha", "0.0_5"],
     ],
 )
 def test_bad_flag_value_is_usage_error_before_any_output(args, data_csv, restriction_file, tmp_path):

@@ -96,6 +96,16 @@ def test_stacked_draw_equals_per_replication_draw_bitwise():
             assert y[i].dtype == one.y.dtype
 
 
+def test_ratio_se_is_exactly_zero_for_equal_losses():
+    # PTE equals UN on every replication where the pretest always rejects;
+    # the ratio is then 1 on every draw and has no Monte Carlo error
+    for seed in range(200):
+        a = np.random.default_rng(seed).gamma(0.5, 0.1, 1000)
+        assert mc._ratio_se(a, a.copy()) == 0.0
+    a, b = np.random.default_rng(0).gamma(0.5, 0.1, (2, 1000))
+    assert mc._ratio_se(a, b) > 0.0
+
+
 # ------------------------------------------------------------ simulation core
 
 

@@ -448,6 +448,23 @@ def test_load_restriction_roundtrip(tmp_path):
     np.testing.assert_allclose(rest.h, [0.5, 0.0, 0.0])
 
 
+def test_load_restriction_ignores_trailing_comment(tmp_path):
+    path = tmp_path / "rest.txt"
+    path.write_text("0 1 0 | 0  # pin slope 1\n0 0 1 | 0.5#no space\n")
+    rest = load_restriction(path)
+    np.testing.assert_array_equal(rest.H, [[0, 1, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(rest.h, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("line", ["0 1_0 0 | 0", "0 1 0 | 1_0"], ids=["H", "h"])
+def test_load_restriction_rejects_digit_separators(tmp_path, line):
+    # numpy's float syntax, as in the data CSV and the Fisher file
+    path = tmp_path / "rest.txt"
+    path.write_text(f"1 0 0 | 0\n{line}\n")
+    with pytest.raises(ValueError, match=f"{path}:2: non-numeric entry"):
+        load_restriction(path)
+
+
 def test_load_restriction_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 0 | 0\n0 1 0 | 0\n")
