@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
-from .montecarlo import ConvergenceError, _fmt, _replicate, write_lines
+from .montecarlo import ConvergenceError, _efficiency, _fmt, _replicate, write_lines
 from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, _numpy_float, compute_all, estimator_names
 
 __all__ = [
@@ -219,11 +219,13 @@ class _ResampleDraw:
 def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BREReport:
     """Pairs-bootstrap relative efficiencies; bit-reproducible given seed.
 
-    Replications whose refit fails are redrawn from a fresh substream and
-    counted; more than 10% failures aborts.  Restricted refits are checked
-    against the restriction itself on every replication.  The report also
-    carries the full-sample Wald statistic and the AIC of the full and
-    restricted fits."""
+    The refits run in stacks through `montecarlo._replicate`; one whose fit
+    fails is redrawn from a fresh substream and counted, and more than 10%
+    failures aborts.  Restricted refits are checked against the restriction
+    on every replication.  The BREs come from `montecarlo._efficiency`
+    against `full.beta`, as the simulated SREs do.  The report also carries
+    the full-sample Wald statistic and the AIC of the full and restricted
+    fits."""
     if cfg.resample_size > data.n_obs:
         raise ValueError(
             f"resample_size {cfg.resample_size} exceeds the {data.n_obs} available rows"
@@ -235,7 +237,7 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
     names = estimator_names(cfg.restriction.n_restrictions)
     draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
-    _, est, retries = _replicate(
+    est, retries = _replicate(
         (draw, list(range(cfg.replications)), [cfg.restriction], cfg.alpha, budget)
     )
     est = est[:, 0]
@@ -252,26 +254,13 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
             f"replication {bad[0]}: restricted refit violates the restriction "
             f"(max gap {gap[bad[0]]:.3e})"
         )
-    draws = {name: est[:, ESTIMATOR_ORDER.index(name)] for name in names}
-    smse = {
-        name: float(np.mean(np.sum((draws[name] - full.beta) ** 2, axis=1))) for name in names
-    }
-    rows = []
-    for name in names:
-        if name == "UN":
-            bre = 1.0
-        elif smse[name] == smse["UN"]:
-            bre = 1.0
-        else:
-            bre = smse["UN"] / smse[name] if smse[name] > 0 else float("inf")
-        rows.append(
-            EstimatorRow(
-                name=name,
-                coefficients=np.asarray(getattr(full_set, name.lower())),
-                se=draws[name].std(axis=0, ddof=1) if cfg.replications > 1 else np.zeros(data.n_params),
-                bre=bre,
-            )
-        )
+    _, _, bre = _efficiency(est, full.beta)
+    se = est.std(axis=0, ddof=1) if cfg.replications > 1 else np.zeros(est.shape[1:])
+    rows = tuple(
+        EstimatorRow(name, np.asarray(getattr(full_set, name.lower())), se[i], bre[name])
+        for i, name in enumerate(ESTIMATOR_ORDER)
+        if name in names
+    )
     if coef_names is None:
         coef_names = tuple(f"b{i}" for i in range(data.n_params))
     else:
@@ -279,7 +268,7 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
         if len(coef_names) != data.n_params:
             raise ValueError(f"expected {data.n_params} coefficient names, got {len(coef_names)}")
     return BREReport(
-        rows=tuple(rows),
+        rows=rows,
         f_stat=full_set.f_stat,
         aic_full=aic(full, data),
         aic_restricted=2.0 * (data.n_params - cfg.restriction.n_restrictions)

@@ -31,14 +31,15 @@ Theta at each accepted iterate is kept for the next iteration and for the
 fitted model, so an iteration costs one Lambert W evaluation.  The Newton
 step is solved for directly, not as the next iterate less the current one,
 so designs with an ill-conditioned covariate (a large offset against a
-small spread) still converge.  A member whose design is rank deficient
-(numpy's matrix_rank rule) or whose information matrix
-`linalg.spd_solve_stack` flags is returned as None without failing its
-neighbours, and `fit`, the stack of one, raises SingularMatrixError for
-it.  Every operation, the batched solve included, acts on one member at a
-time or element by element, so a member's result is the same to the last
-bit whatever else shares its stack; outputs built on the engine therefore
-do not depend on how replications are batched.
+small spread) still converge.  The result is one `FittedModel` of arrays
+with a leading member axis, each member's row written as it leaves the
+stack.  A member whose design is rank deficient (numpy's matrix_rank rule)
+or whose information matrix `linalg.spd_solve_stack` flags keeps a NaN row
+without failing its neighbours, and `fit`, the stack of one, raises
+SingularMatrixError for it.  Every operation, the batched solve included,
+acts on one member at a time or element by element, so a member's result
+is the same to the last bit whatever else shares its stack; outputs built
+on the engine therefore do not depend on how replications are batched.
 """
 
 from __future__ import annotations
@@ -124,13 +125,14 @@ class FittedModel:
     and iteration diagnostics.  The information is taken at the clamped
     linear predictor, which differs from the plain one only in fits that
     end with converged=False.  `loglik(model.beta, data)` gives the
-    log-likelihood."""
+    log-likelihood.  `fit` returns one model, with Python scalars;
+    `fit_many` a stack, each field with a leading member axis."""
 
     beta: np.ndarray
     fisher_info: np.ndarray
-    converged: bool
-    n_iter: int
-    n_clamped: int
+    converged: bool | np.ndarray
+    n_iter: int | np.ndarray
+    n_clamped: int | np.ndarray
 
 
 def _linear_predictor(beta: np.ndarray, data: Dataset) -> np.ndarray:
@@ -226,21 +228,26 @@ def _line_search(m: _Members, cur: _Point, step) -> _Point:
     return new
 
 
-def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
+def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
     """Fit R datasets of one shape at once: X (R, n, k), y (R, n).
 
     Each (X[i], y[i]) must pass the checks of Dataset, else ValueError.
-    Returns one FittedModel per member, or None for a singular member: one
-    whose design is rank deficient, or whose information matrix
-    `linalg.spd_solve_stack` flags.  Members run the IRLS of `fit` side by
-    side, with its decrement tolerance (1e-12), iteration cap (100), clamp
-    (|eta| <= 30) and halving count (10) and one batched solve per
-    iteration, and leave the stack as they converge; a member's result does
-    not depend on which others share it.
+    Returns one FittedModel: beta (R, k), fisher_info (R, k, k) and
+    converged, n_iter, n_clamped (R,).  Row i is, bit for bit, what `fit`
+    returns for member i, whichever members share the stack.  A singular
+    member keeps NaN beta and fisher_info, converged False and zero n_iter
+    and n_clamped.
     """
     X, counts = _checked(X, y, stacked=True)
-    models: list[FittedModel | None] = [None] * X.shape[0]
-    m = _Members(X, counts.astype(float), np.arange(X.shape[0]), np.zeros(X.shape[0], int))
+    R, _, k = X.shape
+    out = FittedModel(
+        beta=np.full((R, k), np.nan),
+        fisher_info=np.full((R, k, k), np.nan),
+        converged=np.zeros(R, dtype=bool),
+        n_iter=np.zeros(R, dtype=int),
+        n_clamped=np.zeros(R, dtype=int),
+    )
+    m = _Members(X, counts.astype(float), np.arange(R), np.zeros(R, dtype=int))
     # One SVD per member gives both numpy's matrix_rank test (the smallest
     # singular value above max(n, k) * eps times the largest) and the
     # least-squares start on log(y + 0.5), as lstsq computes it.
@@ -259,15 +266,12 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
         info = Xt @ (m.X * v[..., None])
         stop = done if n_iter < _MAX_ITER else np.ones_like(done)
         if stop.any():
-            converged = done & (cur.clipped == 0)
-            for i in np.flatnonzero(stop):
-                models[m.ids[i]] = FittedModel(
-                    beta=cur.beta[i].copy(),
-                    fisher_info=info[i].copy(),
-                    converged=bool(converged[i]),
-                    n_iter=n_iter,
-                    n_clamped=int(m.n_clamped[i]),
-                )
+            ids = m.ids[stop]
+            out.beta[ids] = cur.beta[stop]
+            out.fisher_info[ids] = info[stop]
+            out.converged[ids] = (done & (cur.clipped == 0))[stop]
+            out.n_iter[ids] = n_iter
+            out.n_clamped[ids] = m.n_clamped[stop]
             keep = ~stop
             m, cur = _take(m, keep), _take(cur, keep)
             v, resid, info = v[keep], resid[keep], info[keep]
@@ -292,7 +296,7 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> list[FittedModel | None]:
         # and the member finishes at the next pass.
         done = (cur.clipped == 0) & (np.sum(rhs * step, axis=-1) < _DECREMENT_TOL)
         cur = _line_search(m, cur, step)
-    return models
+    return out
 
 
 def fit(data: Dataset) -> FittedModel:
@@ -310,10 +314,11 @@ def fit(data: Dataset) -> FittedModel:
     raising.  A rank-deficient design or an information matrix that fails
     the Cholesky solve raises SingularMatrixError.
     """
-    model = fit_many(data.X[None], data.y[None])[0]
-    if model is None:
+    fits = fit_many(data.X[None], data.y[None])
+    if np.isnan(fits.beta[0]).any():
         raise SingularMatrixError("design is rank deficient or information is singular")
-    return model
+    scalars = (fits.converged.item(), fits.n_iter.item(), fits.n_clamped.item())
+    return FittedModel(fits.beta[0], fits.fisher_info[0], *scalars)
 
 
 def aic(model: FittedModel, data: Dataset) -> float:

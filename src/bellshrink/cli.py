@@ -38,7 +38,14 @@ from .montecarlo import (
     write_lines,
     write_table_csv,
 )
-from .shrinkage import ESTIMATOR_ORDER, _numpy_float, compute_all, estimator_names, load_restriction
+from .shrinkage import (
+    ESTIMATOR_ORDER,
+    _numpy_float,
+    compute_all,
+    content_lines,
+    estimator_names,
+    load_restriction,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,16 +172,22 @@ def _load(args):
     covs = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not covs:
         raise UsageError(f"--covariates must name at least one column, got {args.covariates!r}")
+    _reject_repeats(covs, "--covariates", "a repeated column makes the design rank deficient")
     return load_dataset(args.data, args.response, covs)
 
 
-def _restriction(path):
-    """The restriction of a --restriction file; a malformed file is a usage
-    error that names it."""
+def _reject_repeats(values: list, what: str, why: str) -> None:
+    """A usage error naming the values that occur more than once."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise UsageError(f"{what} repeats {repeated}; {why}")
+
+
+def _read(reader, path):
+    """reader(path) for an input file; the ValueError of a malformed or
+    non-UTF-8 file, which names the file, becomes a usage error."""
     try:
-        return load_restriction(path)
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: not UTF-8 text") from None
+        return reader(path)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -183,7 +196,7 @@ def _load_restricted(args):
     """The data, its summary and a restriction with one column per
     coefficient (intercept plus --covariates)."""
     data, summary = _load(args)
-    rest = _restriction(args.restriction)
+    rest = _read(load_restriction, args.restriction)
     if rest.H.shape[1] != data.n_params:
         raise UsageError(
             f"--restriction has {rest.H.shape[1]} columns; the intercept and "
@@ -248,28 +261,16 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _text_lines(path) -> list[str]:
-    """The lines of a Fisher or config file; one that is not UTF-8 is a
-    usage error that names it."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        raise UsageError(f"{path}: not UTF-8 text") from None
-
-
 def _read_fisher(path, k: int) -> np.ndarray:
     """The k x k matrix of a --fisher file: one row per line, entries
     separated by commas in numpy's float syntax, '#' starting a comment.
     A malformed file is a usage error that names it."""
     rows = []
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.split("#", 1)[0]
-        if line.strip():
-            try:
-                rows.append([_numpy_float(tok) for tok in line.split(",")])
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
+    for lineno, line in _read(content_lines, path):
+        try:
+            rows.append([_numpy_float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
     if len(rows) != k or any(len(row) != k for row in rows):
         raise UsageError(f"{path}: --fisher must be a {k}x{k} matrix")
     return np.array(rows)
@@ -283,11 +284,13 @@ def _theory_values(la: LocalAlternative, ests, alpha):
 
 
 def _cmd_theory(args) -> int:
-    rest = _restriction(args.restriction)
+    rest = _read(load_restriction, args.restriction)
     r, k = rest.H.shape
     fisher = _read_fisher(args.fisher, k) if args.fisher else np.eye(k)
     if (args.gamma is None) == (args.delta_grid is None):
         raise UsageError("theory needs exactly one of --gamma or --delta-grid")
+    if args.direction is not None and args.delta_grid is None:
+        raise UsageError("--direction applies only with --delta-grid")
     ests = estimator_names(r)
     if args.gamma is not None:
         gamma = _parse_floats(args.gamma, "--gamma")
@@ -352,10 +355,7 @@ _SIM_KEYS = {"n", "p", "tau", "replications", "alpha", "seed"}
 
 def _parse_sim_config(path) -> dict:
     values: dict = {}
-    for lineno, raw in enumerate(_text_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _read(content_lines, path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
@@ -400,12 +400,8 @@ def _parse_sim_config(path) -> dict:
 def _cmd_simulate(args) -> int:
     raw = _parse_sim_config(args.config)
     for key in ("n", "p", "tau"):
-        repeated = sorted({v for v in raw[key] if raw[key].count(v) > 1})
-        if repeated:
-            raise UsageError(
-                f"{args.config}: {key} repeats {repeated}; a repeat would rerun the same "
-                "replications"
-            )
+        why = "a repeat would rerun the same replications"
+        _reject_repeats(raw[key], f"{args.config}: {key}", why)
     seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
     try:
         configs = [

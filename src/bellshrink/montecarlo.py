@@ -187,7 +187,7 @@ class _SimDraw:
         return _draw(rngs, n, p, self.true_beta)
 
 
-def _replicate(job) -> tuple[list[int], np.ndarray, int]:
+def _replicate(job) -> tuple[np.ndarray, int]:
     """Fit every replication in reps once and compute its estimators under
     each restriction in rests.
 
@@ -195,13 +195,14 @@ def _replicate(job) -> tuple[list[int], np.ndarray, int]:
     gives the datasets of that attempt as arrays.  Each attempt round
     draws and fits every pending replication in stacks of at most
     _STACK_ELEMENTS entries of X, and calls `estimate_many` once per
-    restriction on each stack of fits.  A replication whose fit fails (no
-    convergence or singular) or whose projection fails under any
-    restriction stays pending for attempt + 1.  H F^-1 H' does not depend
-    on h, so restrictions that differ only in h fail together.  The round
-    stops early once the failures exceed budget; the caller reports that.
+    restriction on the converged rows of each stacked fit.  A replication
+    whose fit fails (no convergence, or a singular member's NaN row) or
+    whose projection fails under any restriction stays pending for
+    attempt + 1.  H F^-1 H' does not depend on h, so restrictions that
+    differ only in h fail together.  The round stops early once the
+    failures exceed budget; the caller reports that.
 
-    Returns (reps, estimates, retries): estimates has shape
+    Returns (estimates, retries): estimates has shape
     (len(reps), len(rests), 5, k) in ESTIMATOR_ORDER, NaN where r < 3
     rules out the Stein estimators or a replication was left pending.
     """
@@ -215,22 +216,19 @@ def _replicate(job) -> tuple[list[int], np.ndarray, int]:
         failed = []
         for start in range(0, len(pending), cap):
             rows = pending[start : start + cap]
-            models = fit_many(*draw.stack([reps[row] for row in rows], attempt))
-            fitted = [i for i, model in enumerate(models) if model is not None and model.converged]
-            ok = np.zeros(len(rows), dtype=bool)
-            if fitted:
-                beta = np.stack([models[i].beta for i in fitted])
-                fisher = np.stack([models[i].fisher_info for i in fitted])
-                ok[fitted] = True
-                for t, rest in enumerate(rests):
-                    stack_est, _, solved = estimate_many(beta, fisher, rest, alpha)
-                    est[rows[fitted], t] = stack_est
-                    ok[fitted] &= solved
+            fits = fit_many(*draw.stack([reps[row] for row in rows], attempt))
+            fitted = np.flatnonzero(fits.converged)
+            beta, fisher = fits.beta[fitted], fits.fisher_info[fitted]
+            ok = fits.converged.copy()
+            for t, rest in enumerate(rests):
+                stack_est, _, solved = estimate_many(beta, fisher, rest, alpha)
+                est[rows[fitted], t] = stack_est
+                ok[fitted] &= solved
             failed.append(rows[~ok])
         pending = np.concatenate(failed)
         retries += len(pending)
         if not len(pending) or retries > budget:
-            return list(reps), est, retries
+            return est, retries
     raise ConvergenceError(
         f"replication {reps[pending[0]]}{draw.where} failed "
         f"{_MAX_ATTEMPTS_PER_REP} consecutive attempts"
@@ -256,18 +254,23 @@ def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def _grid_point(cfg: SimConfig, tau: float, est: np.ndarray, retries: int) -> GridPointResult:
-    """The relative efficiencies at one tau from its estimates (reps, 5, k)."""
-    diff = est - cfg.true_beta
+def _efficiency(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, dict, dict]:
+    """Squared errors (reps, 5) of estimates (reps, 5, k) against truth, and
+    per estimator its SMSE and SMSE(UN) over it (1.0 if equal, inf if the
+    SMSE is 0).  Each column is averaged alone: errs.mean(axis=0) adds in
+    another order, which would move the tables' last bits."""
+    diff = est - truth
     errs = np.sum(diff * diff, axis=-1)
     smse = {name: float(errs[:, i].mean()) for i, name in enumerate(ESTIMATOR_ORDER)}
-    sre = {"UN": 1.0}
-    sre_se = {"UN": 0.0}
-    for i, name in enumerate(ESTIMATOR_ORDER):
-        if name == "UN":
-            continue
-        sre[name] = smse["UN"] / smse[name]
-        sre_se[name] = _ratio_se(errs[:, 0], errs[:, i])
+    un = smse["UN"]
+    ratio = {name: 1.0 if s == un else un / s if s > 0 else np.inf for name, s in smse.items()}
+    return errs, smse, ratio
+
+
+def _grid_point(cfg: SimConfig, tau: float, est: np.ndarray, retries: int) -> GridPointResult:
+    """The relative efficiencies at one tau from its estimates (reps, 5, k)."""
+    errs, smse, sre = _efficiency(est, cfg.true_beta)
+    sre_se = {name: _ratio_se(errs[:, 0], errs[:, i]) for i, name in enumerate(ESTIMATOR_ORDER)}
     return GridPointResult(
         n=cfg.n, p=cfg.p, tau=tau, smse=smse, sre=sre, sre_se=sre_se, n_retry=retries
     )
@@ -289,11 +292,9 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> SimResult:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             jobs = [(draw, c, rests, cfg.alpha, budget) for c in chunks]
             blocks = list(pool.map(_replicate, jobs))
-    est = np.empty((cfg.replications, len(rests), len(ESTIMATOR_ORDER), cfg.p + 1))
-    total_retries = 0
-    for rep_ids, block_est, retries in blocks:
-        est[rep_ids] = block_est
-        total_retries += retries
+    # The chunks are consecutive and map keeps their order.
+    est = np.concatenate([block_est for block_est, _ in blocks])
+    total_retries = sum(retries for _, retries in blocks)
     if total_retries > budget:
         raise ConvergenceError(
             f"design (n={cfg.n}, p={cfg.p}): {total_retries} failed fits "

@@ -65,6 +65,19 @@ def _numpy_float(token: str) -> float:
     return float(core)
 
 
+def content_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of a restriction, Fisher
+    or config file that is not blank once its '#' comment is cut.  A
+    leading byte-order mark is skipped; a file that is not UTF-8 raises
+    ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
+
+
 @dataclass(frozen=True)
 class LinearRestriction:
     """Linear constraint H beta = h with H full row rank, r <= k."""
@@ -99,33 +112,28 @@ def load_restriction(path) -> LinearRestriction:
 
     One row per line: the entries of that row of H, whitespace-separated,
     then a '|', then the corresponding entry of h, all in numpy's float
-    syntax.  '#' starts a comment, and blank lines are skipped.  A
-    malformed file raises ValueError naming the path, and the line where
-    one line is at fault.
+    syntax.  '#' starts a comment, and blank lines are skipped
+    (`content_lines`).  A malformed file raises ValueError naming the
+    path, and the line where one line is at fault.
     """
-    rows = []
-    rhs = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.count("|") != 1:
-                raise ValueError(f"{path}:{lineno}: expected exactly one '|' separator")
-            left, right = line.split("|")
-            try:
-                row = [_numpy_float(tok) for tok in left.split()]
-                val = _numpy_float(right)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
-            if not row:
-                raise ValueError(f"{path}:{lineno}: empty restriction row")
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: row has {len(row)} entries, expected {len(rows[0])}"
-                )
-            rows.append(row)
-            rhs.append(val)
+    rows, rhs = [], []
+    for lineno, line in content_lines(path):
+        if line.count("|") != 1:
+            raise ValueError(f"{path}:{lineno}: expected exactly one '|' separator")
+        left, right = line.split("|")
+        try:
+            row = [_numpy_float(tok) for tok in left.split()]
+            val = _numpy_float(right)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
+        if not row:
+            raise ValueError(f"{path}:{lineno}: empty restriction row")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(row)} entries, expected {len(rows[0])}"
+            )
+        rows.append(row)
+        rhs.append(val)
     if not rows:
         raise ValueError(f"{path}: no restriction rows found")
     try:

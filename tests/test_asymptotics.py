@@ -401,12 +401,8 @@ def test_shrinkage_bias_describes_fitted_estimators():
     stack = 25  # fits and estimators of a stack equal their one-by-one values bit for bit
     for start in range(0, reps, stack):
         ys = np.stack([sample_counts(theta, rng) for _ in range(stack)])
-        models = fit_many(np.broadcast_to(X, (stack, n, p + 1)), ys)
-        est, _, ok = estimate_many(
-            np.stack([model.beta for model in models]),
-            np.stack([model.fisher_info for model in models]),
-            rest,
-        )
+        fits = fit_many(np.broadcast_to(X, (stack, n, p + 1)), ys)
+        est, _, ok = estimate_many(fits.beta, fits.fisher_info, rest)
         assert ok.all()
         errors[start : start + stack] = est[:, jse] - est[:, un]
     scaled = np.sqrt(n) * errors

@@ -1,4 +1,5 @@
 """Regression-fitting checks: likelihood algebra, scoring convergence, recovery."""
+import dataclasses
 import math
 
 import numpy as np
@@ -261,11 +262,11 @@ def test_heavy_tailed_fits_stop_at_the_optimum():
     rng = np.random.default_rng(SEED + 18)
     beta = np.concatenate([[0.0], np.ones(12)])
     datasets = [generate_dataset(200, 12, beta, rng) for _ in range(30)]
-    models = fit_many(np.stack([d.X for d in datasets]), np.stack([d.y for d in datasets]))
-    for model, data in zip(models, datasets):
-        assert model.converged
-        s = score(model.beta, data)
-        assert float(s @ spd_solve(fisher_information(model.beta, data), s)) <= 1e-12
+    fits = fit_many(np.stack([d.X for d in datasets]), np.stack([d.y for d in datasets]))
+    assert fits.converged.all()
+    for beta, data in zip(fits.beta, datasets):
+        s = score(beta, data)
+        assert float(s @ spd_solve(fisher_information(beta, data), s)) <= 1e-12
 
 
 def test_all_zero_response_is_not_reported_as_converged():
@@ -274,12 +275,6 @@ def test_all_zero_response_is_not_reported_as_converged():
     model = fit(Dataset(X=X, y=np.zeros(50, dtype=int)))
     assert not model.converged
     assert model.n_clamped > 0
-
-
-def _assert_same_fit(a: FittedModel, b: FittedModel) -> None:
-    np.testing.assert_array_equal(a.beta, b.beta)
-    np.testing.assert_array_equal(a.fisher_info, b.fisher_info)
-    assert (a.converged, a.n_iter, a.n_clamped) == (b.converged, b.n_iter, b.n_clamped)
 
 
 def test_stack_members_match_their_own_fits_bitwise():
@@ -291,17 +286,30 @@ def test_stack_members_match_their_own_fits_bitwise():
     X = np.stack([d.X for d in datasets])
     y = np.stack([d.y for d in datasets])
     X[5, :, 4] = X[5, :, 2]  # one rank-deficient member
-    models = fit_many(X, y)
-    assert models[5] is None
-    assert len({m.n_iter for m in models if m is not None}) > 1
-    for i, model in enumerate(models):
-        if i != 5:
-            _assert_same_fit(model, fit(Dataset(X=X[i], y=y[i])))
-    order = [11, 0, 7, 3]
-    for model, i in zip(fit_many(X[order], y[order]), order):
-        _assert_same_fit(model, models[i])
+    fits = fit_many(X, y)
+    assert fits.beta.shape == (12, 7) and fits.fisher_info.shape == (12, 7, 7)
+    assert fits.converged.shape == fits.n_iter.shape == fits.n_clamped.shape == (12,)
+    # the singular member keeps its initial row
+    assert np.isnan(fits.beta[5]).all() and np.isnan(fits.fisher_info[5]).all()
+    assert (fits.converged[5], fits.n_iter[5], fits.n_clamped[5]) == (False, 0, 0)
     with pytest.raises(SingularMatrixError):
         fit(Dataset(X=X[5], y=y[5]))
+    others = [i for i in range(12) if i != 5]
+    assert len(set(fits.n_iter[others])) > 1
+    for i in others:
+        model = fit(Dataset(X=X[i], y=y[i]))
+        assert type(model.converged) is bool and type(model.n_iter) is int
+        np.testing.assert_array_equal(fits.beta[i], model.beta)
+        np.testing.assert_array_equal(fits.fisher_info[i], model.fisher_info)
+        assert (fits.converged[i], fits.n_iter[i], fits.n_clamped[i]) == (
+            model.converged, model.n_iter, model.n_clamped
+        )
+    order = [11, 0, 5, 7, 3]
+    reordered = fit_many(X[order], y[order])
+    for field in dataclasses.fields(FittedModel):
+        np.testing.assert_array_equal(
+            getattr(reordered, field.name), getattr(fits, field.name)[order]
+        )
 
 
 def test_fit_many_rejects_mismatched_shapes():
@@ -362,4 +370,4 @@ def test_fit_many_evaluates_no_bell_number(monkeypatch):
     X = np.stack([build_design(80, 2, rng) for _ in range(4)])
     y = rng.poisson(np.exp(X @ np.array([6.5, 0.2, -0.1])))
     assert y.max() > 512
-    assert all(model.converged for model in fit_many(X, y))
+    assert fit_many(X, y).converged.all()

@@ -480,6 +480,31 @@ def test_bad_flag_value_is_usage_error_before_any_output(args, data_csv, restric
     assert not out.exists()
 
 
+def test_theory_direction_without_delta_grid_is_usage_error(restriction_file):
+    proc = run_cli(
+        "theory", "--restriction", str(restriction_file), "--gamma", "1", "--direction", "5,5,5"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: usage: --direction applies only with --delta-grid\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "estimate", "bootstrap"])
+def test_repeated_covariate_is_usage_error_before_any_output(
+    subcommand, data_csv, restriction_file, tmp_path
+):
+    out = tmp_path / "o.csv"
+    args = [subcommand, "--data", str(data_csv), "--response", "y",
+            "--covariates", "x2,x1,x2,x1", "--out", str(out)]
+    if subcommand != "fit":
+        args += ["--restriction", str(restriction_file)]
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: usage: --covariates repeats ['x1', 'x2'];")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_help_exits_zero_for_all_subcommands():
     for sub in ["fit", "estimate", "theory", "simulate", "bootstrap"]:
         proc = run_cli(sub, "--help")

@@ -1,9 +1,11 @@
 """Simulation-engine checks: restriction grids, substreams, aggregation, CSVs."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bellshrink.montecarlo as mc
-from bellshrink.bell_glm import FittedModel
+from bellshrink.bell_glm import Dataset, FittedModel, fit, fit_many
 from bellshrink.montecarlo import (
     ConvergenceError,
     SimConfig,
@@ -13,6 +15,7 @@ from bellshrink.montecarlo import (
     write_curves_csv,
     write_table_csv,
 )
+from bellshrink.shrinkage import estimate_many
 
 SEED = 987123
 
@@ -239,21 +242,52 @@ def test_positive_part_dominates_plain_shrinkage_at_tau_zero():
 
 def test_nonconvergence_budget_enforced(monkeypatch):
     def never_converges(X, y, **kwargs):
-        k = X.shape[2]
-        return [
-            FittedModel(
-                beta=np.zeros(k),
-                fisher_info=np.eye(k),
-                converged=False,
-                n_iter=100,
-                n_clamped=0,
-            )
-            for _ in range(X.shape[0])
-        ]
+        R, _, k = X.shape
+        return FittedModel(
+            beta=np.zeros((R, k)),
+            fisher_info=np.broadcast_to(np.eye(k), (R, k, k)),
+            converged=np.zeros(R, dtype=bool),
+            n_iter=np.full(R, 100),
+            n_clamped=np.zeros(R, dtype=int),
+        )
 
     monkeypatch.setattr(mc, "fit_many", never_converges)
     with pytest.raises(ConvergenceError):
         run_simulation(small_config(replications=20))
+
+
+@dataclasses.dataclass(frozen=True)
+class _SingularOnFirstAttempt(mc._SimDraw):
+    """Draws as _SimDraw, except that replication 2's first attempt repeats
+    a covariate column, so its design is rank deficient."""
+
+    def stack(self, reps, attempt):
+        X, y = super().stack(reps, attempt)
+        if attempt == 0 and 2 in reps:
+            i = list(reps).index(2)
+            X[i, :, 3] = X[i, :, 2]
+        return X, y
+
+
+def test_singular_member_is_a_nan_row_and_its_replication_is_redrawn():
+    draw = _SingularOnFirstAttempt(SEED, 40, 3, np.array([0.0, 1.0, 1.0, 1.0]))
+    reps = list(range(5))
+    X, y = draw.stack(reps, 0)
+    fits = fit_many(X, y)
+    assert np.isnan(fits.beta[2]).all() and not fits.converged[2]
+    others = [0, 1, 3, 4]
+    assert fits.converged[others].all()
+    for i in others:
+        np.testing.assert_array_equal(fits.beta[i], fit(Dataset(X[i], y[i])).beta)
+    rest = build_restriction(3, 0.0)
+    est, retries = mc._replicate((draw, reps, [rest], 0.05, 5))
+    assert retries == 1
+    assert np.isfinite(est).all()
+    first, _, _ = estimate_many(fits.beta[others], fits.fisher_info[others], rest)
+    np.testing.assert_array_equal(est[others, 0], first)
+    redrawn = fit_many(*draw.stack([2], 1))
+    second, _, _ = estimate_many(redrawn.beta, redrawn.fisher_info, rest)
+    np.testing.assert_array_equal(est[[2], 0], second)
 
 
 # -------------------------------------------------------------------- output
@@ -302,8 +336,8 @@ def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
     real_fit_many = mc.fit_many
 
     def fit_many_failing_some(X, y):
-        models = real_fit_many(X, y)
-        return [None if int(yi.sum()) % 29 == 0 else m for yi, m in zip(y, models)]
+        fits = real_fit_many(X, y)
+        return dataclasses.replace(fits, converged=fits.converged & (y.sum(axis=1) % 29 != 0))
 
     monkeypatch.setattr(mc, "fit_many", fit_many_failing_some)
     cfg = small_config(n=20, p=6, tau_grid=(0.0, 1.0), replications=60, seed=3)
