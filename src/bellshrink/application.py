@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell_glm import Dataset, aic, fit, loglik
-from .montecarlo import ConvergenceError, _efficiency, _fmt, _replicate, write_lines
+from .montecarlo import ConvergenceError, _efficiency, _replicate
 from .shrinkage import ESTIMATOR_ORDER, LinearRestriction, _numpy_float, compute_all, estimator_names
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "EstimatorRow",
     "bootstrap_bre",
     "load_dataset",
-    "write_bre_csv",
 ]
 
 _MAX_FAILURE_RATE = 0.10
@@ -88,7 +87,6 @@ class BREReport:
     aic_restricted: float  # the restricted estimate's AIC, k - r free parameters
     n_retry: int
     replications: int
-    coef_names: tuple[str, ...]
 
 
 def _parse_count(token: str, where: str) -> None:
@@ -216,7 +214,7 @@ class _ResampleDraw:
         return self.X[idx], self.y[idx]
 
 
-def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BREReport:
+def bootstrap_bre(data: Dataset, cfg: BootstrapConfig) -> BREReport:
     """Pairs-bootstrap relative efficiencies; bit-reproducible given seed.
 
     The refits run in stacks through `montecarlo._replicate`; one whose fit
@@ -261,12 +259,6 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
         for i, name in enumerate(ESTIMATOR_ORDER)
         if name in names
     )
-    if coef_names is None:
-        coef_names = tuple(f"b{i}" for i in range(data.n_params))
-    else:
-        coef_names = tuple(coef_names)
-        if len(coef_names) != data.n_params:
-            raise ValueError(f"expected {data.n_params} coefficient names, got {len(coef_names)}")
     return BREReport(
         rows=rows,
         f_stat=full_set.f_stat,
@@ -275,14 +267,5 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig, coef_names=None) -> BRERe
         - 2.0 * loglik(full_set.re, data),
         n_retry=retries,
         replications=cfg.replications,
-        coef_names=coef_names,
     )
 
-
-def write_bre_csv(report: BREReport, path) -> None:
-    """Table-2-shaped output: one row per estimator per coefficient."""
-    lines = ["estimator,coefficient,estimate,se,bre"]
-    for row in report.rows:
-        for name, est, se in zip(report.coef_names, row.coefficients, row.se):
-            lines.append(f"{row.name},{name},{_fmt(est)},{_fmt(se)},{_fmt(row.bre)}")
-    write_lines(path, lines)

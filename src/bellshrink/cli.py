@@ -19,25 +19,11 @@ import sys
 import numpy as np
 from scipy.special import chdtrc
 
-from .application import (
-    BootstrapConfig,
-    DataFormatError,
-    bootstrap_bre,
-    load_dataset,
-    write_bre_csv,
-)
+from .application import BootstrapConfig, DataFormatError, bootstrap_bre, load_dataset
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from .bell_glm import aic, fit, loglik
 from .linalg import spd_inverse, spd_solve
-from .montecarlo import (
-    ConvergenceError,
-    SimConfig,
-    _fmt,
-    run_simulation,
-    write_curves_csv,
-    write_lines,
-    write_table_csv,
-)
+from .montecarlo import ConvergenceError, SimConfig, run_simulation
 from .shrinkage import (
     ESTIMATOR_ORDER,
     _numpy_float,
@@ -159,6 +145,29 @@ def _require_files(args) -> None:
             raise UsageError(f"--{flag} {what}: {path}")
 
 
+def _fmt(x) -> str:
+    """A number as every CSV and table of the package prints it."""
+    return format(float(x), ".12g")
+
+
+def _csv(header: str, rows) -> list[str]:
+    """The lines of a CSV file: the header, then one line per row, with
+    floats (Python or numpy) as `_fmt` prints them and other cells by str."""
+
+    def cell(x) -> str:
+        return _fmt(x) if isinstance(x, (float, np.floating)) else str(x)
+
+    return [header, *(",".join(map(cell, row)) for row in rows)]
+
+
+def _write(path, lines) -> None:
+    """Write the lines of `_csv` as UTF-8 text, each ended by one LF, so
+    output files have the same bytes on every platform.  Every --out file
+    goes through here; no other module of the package writes a file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _print_table(headers, rows) -> None:
     cells = [[str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
@@ -205,7 +214,7 @@ def _load_restricted(args):
     return data, summary, rest
 
 
-def _coef_names(summary) -> tuple[str, ...]:
+def _coefficient_names(summary) -> tuple[str, ...]:
     return ("intercept", *summary.covariate_columns)
 
 
@@ -220,7 +229,7 @@ def _cmd_fit(args) -> int:
     if not model.converged:
         raise ConvergenceError(f"fit did not converge in {model.n_iter} iterations")
     se = np.sqrt(np.diag(spd_inverse(model.fisher_info)))
-    names = _coef_names(summary)
+    names = _coefficient_names(summary)
     _print_table(
         ["coefficient", "estimate", "se"],
         [[n, _fmt(b), _fmt(s)] for n, b, s in zip(names, model.beta, se)],
@@ -228,9 +237,7 @@ def _cmd_fit(args) -> int:
     print(f"loglik = {_fmt(loglik(model.beta, data))}")
     print(f"AIC = {_fmt(aic(model, data))}")
     if args.out:
-        lines = ["coefficient,estimate,se"]
-        lines += [f"{n},{_fmt(b)},{_fmt(s)}" for n, b, s in zip(names, model.beta, se)]
-        write_lines(args.out, lines)
+        _write(args.out, _csv("coefficient,estimate,se", zip(names, model.beta, se)))
     return EXIT_OK
 
 
@@ -242,7 +249,7 @@ def _cmd_estimate(args) -> int:
     est_set = compute_all(model, rest, args.alpha)
     r = rest.n_restrictions
     p_value = float(chdtrc(r, est_set.f_stat))
-    names = _coef_names(summary)
+    names = _coefficient_names(summary)
     ests = estimator_names(r)
     rows = [(est, getattr(est_set, est.lower())) for est in ests]
     _print_table(
@@ -253,11 +260,10 @@ def _cmd_estimate(args) -> int:
     if len(ests) < len(ESTIMATOR_ORDER):
         print("note: James-Stein estimators need at least 3 restrictions; skipped")
     if args.out:
-        lines = ["estimator,coefficient,estimate,f_stat,p_value"]
-        for est, vec in rows:
-            for n, v in zip(names, vec):
-                lines.append(f"{est},{n},{_fmt(v)},{_fmt(est_set.f_stat)},{_fmt(p_value)}")
-        write_lines(args.out, lines)
+        cells = [
+            (est, n, v, est_set.f_stat, p_value) for est, vec in rows for n, v in zip(names, vec)
+        ]
+        _write(args.out, _csv("estimator,coefficient,estimate,f_stat,p_value", cells))
     return EXIT_OK
 
 
@@ -299,23 +305,22 @@ def _cmd_theory(args) -> int:
         if len(gamma) != r:
             raise UsageError(f"--gamma needs {r} entries (or one to broadcast), got {len(gamma)}")
         la = LocalAlternative(gamma=np.array(gamma), fisher=fisher, restriction=rest)
-        lines = ["estimator,component,bias,amse_diag,amse_trace"]
+        cells = []
         table = []
         for est, bias, amse in _theory_values(la, ests, args.alpha):
             tr = float(np.trace(amse))
             table.append([est, _fmt(la.delta), _fmt(float(bias @ bias) ** 0.5), _fmt(tr)])
-            for i in range(k):
-                lines.append(f"{est},{i},{_fmt(bias[i])},{_fmt(amse[i, i])},{_fmt(tr)}")
+            cells += [(est, i, bias[i], amse[i, i], tr) for i in range(k)]
         _print_table(["estimator", "delta", "bias_norm", "amse_trace"], table)
         if args.out:
-            write_lines(args.out, lines)
+            _write(args.out, _csv("estimator,component,bias,amse_diag,amse_trace", cells))
         return EXIT_OK
     deltas = _parse_floats(args.delta_grid, "--delta-grid")
     if any(d < 0 for d in deltas):
         raise UsageError("--delta-grid entries must be >= 0")
     direction = np.zeros(r)
     direction[0] = 1.0
-    if args.direction:
+    if args.direction is not None:
         vals = _parse_floats(args.direction, "--direction")
         if len(vals) != r:
             raise UsageError(f"--direction needs {r} entries, got {len(vals)}")
@@ -335,18 +340,20 @@ def _cmd_theory(args) -> int:
         )
         for est, bias, amse in _theory_values(la, ests, args.alpha)
     ]
-    lines = ["delta,estimator,bias_norm,amse_trace"]
-    lines += [
-        f"{_fmt(d)},{est},{_fmt(norms[i])},{_fmt(traces[i])}"
-        for i, d in enumerate(deltas)
-        for est, norms, traces in curves
-    ]
+    lines = _csv(
+        "delta,estimator,bias_norm,amse_trace",
+        (
+            (d, est, norms[i], traces[i])
+            for i, d in enumerate(deltas)
+            for est, norms, traces in curves
+        ),
+    )
     for line in lines[: min(len(lines), 12)]:
         print(line)
     if len(lines) > 12:
         print(f"... {len(lines) - 1} rows total")
     if args.out:
-        write_lines(args.out, lines)
+        _write(args.out, lines)
     return EXIT_OK
 
 
@@ -399,7 +406,7 @@ def _parse_sim_config(path) -> dict:
 
 def _cmd_simulate(args) -> int:
     raw = _parse_sim_config(args.config)
-    for key in ("n", "p", "tau"):
+    for key in ("n", "p"):
         why = "a repeat would rerun the same replications"
         _reject_repeats(raw[key], f"{args.config}: {key}", why)
     seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
@@ -428,11 +435,18 @@ def _cmd_simulate(args) -> int:
                 + "  ".join(f"SRE[{e}]={gp.sre[e]:.4f}" for e in ESTIMATOR_ORDER[1:])
                 + f"  retries={gp.n_retry}"
             )
-    write_table_csv(grid, args.out)
+    # One row per ratio estimator per grid point, Table-1 layout; the
+    # long-format SRE-vs-tau curves are its first four columns and sre.
+    rows = [
+        (gp.n, gp.p, gp.tau, name, gp.smse[name], gp.sre[name], gp.sre_se[name], gp.n_retry)
+        for gp in grid
+        for name in ESTIMATOR_ORDER[1:]
+    ]
+    _write(args.out, _csv("n,p,tau,estimator,smse,sre,sre_se,n_retry", rows))
     stem, ext = os.path.splitext(args.out)
     curves_path = f"{stem}_curves{ext or '.csv'}"
-    write_curves_csv(grid, curves_path)
-    print(f"wrote {len(grid) * 4} rows to {args.out} and curves to {curves_path}")
+    _write(curves_path, _csv("n,p,tau,estimator,sre", ((*row[:4], row[5]) for row in rows)))
+    print(f"wrote {len(rows)} rows to {args.out} and curves to {curves_path}")
     return EXIT_OK
 
 
@@ -455,13 +469,14 @@ def _cmd_bootstrap(args) -> int:
     print(
         f"n = {summary.n_rows} rows; overdispersion ratio {summary.overdispersion:.6g}"
     )
-    report = bootstrap_bre(data, cfg, coef_names=_coef_names(summary))
+    report = bootstrap_bre(data, cfg)
     print(
         f"AIC full = {_fmt(report.aic_full)}, restricted = {_fmt(report.aic_restricted)}; "
         f"F_n = {_fmt(report.f_stat)}"
     )
+    names = _coefficient_names(summary)
     _print_table(
-        ["estimator", "bre", *report.coef_names],
+        ["estimator", "bre", *names],
         [
             [row.name, _fmt(row.bre), *(f"{b:.6g} ({s:.3g})" for b, s in zip(row.coefficients, row.se))]
             for row in report.rows
@@ -469,7 +484,13 @@ def _cmd_bootstrap(args) -> int:
     )
     print(f"failed refits: {report.n_retry} of {report.replications} replications")
     if args.out:
-        write_bre_csv(report, args.out)
+        # Table-2 layout: one row per estimator per coefficient.
+        cells = [
+            (row.name, n, b, s, row.bre)
+            for row in report.rows
+            for n, b, s in zip(names, row.coefficients, row.se)
+        ]
+        _write(args.out, _csv("estimator,coefficient,estimate,se,bre", cells))
     return EXIT_OK
 
 

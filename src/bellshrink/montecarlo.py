@@ -49,12 +49,8 @@ __all__ = [
     "build_restriction",
     "generate_dataset",
     "run_simulation",
-    "write_curves_csv",
-    "write_lines",
-    "write_table_csv",
 ]
 
-_RATIO_ESTIMATORS = ESTIMATOR_ORDER[1:]
 _MAX_ATTEMPTS_PER_REP = 20
 _MAX_FAILURE_RATE = 0.05
 # Cap on the entries of X (members * n * k) fitted as one stack; bounds the
@@ -306,35 +302,3 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> SimResult:
     )
     return SimResult(config=cfg, grid=grid)
 
-
-def _fmt(x: float) -> str:
-    """A number as every CSV and table of the package prints it."""
-    return format(float(x), ".12g")
-
-
-def write_lines(path, lines) -> None:
-    """Write lines as UTF-8 text, each ended by one LF, so output files
-    have the same bytes on every platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_table_csv(grid, path) -> None:
-    """One row per ratio estimator per grid point, Table-1 layout."""
-    lines = ["n,p,tau,estimator,smse,sre,sre_se,n_retry"]
-    for gp in grid:
-        for name in _RATIO_ESTIMATORS:
-            lines.append(
-                f"{gp.n},{gp.p},{_fmt(gp.tau)},{name},{_fmt(gp.smse[name])},"
-                f"{_fmt(gp.sre[name])},{_fmt(gp.sre_se[name])},{gp.n_retry}"
-            )
-    write_lines(path, lines)
-
-
-def write_curves_csv(grid, path) -> None:
-    """Long-format SRE-vs-tau curves, one row per estimator per grid point."""
-    lines = ["n,p,tau,estimator,sre"]
-    for gp in grid:
-        for name in _RATIO_ESTIMATORS:
-            lines.append(f"{gp.n},{gp.p},{_fmt(gp.tau)},{name},{_fmt(gp.sre[name])}")
-    write_lines(path, lines)

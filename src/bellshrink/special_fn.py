@@ -123,6 +123,10 @@ def lambert_w0(x):
 # sigma = sqrt(l* / (W(n) + 1)), and the window runs from 14 sigma + 20
 # below l* to as far above, so it holds the sum to double precision.
 
+# Cap on the entries of one table of Dobinski windows; bounds the working
+# memory of `log_bell_many` at a few arrays of this size.
+_BELL_TABLE_ELEMENTS = 1 << 18
+
 
 def log_bell(n) -> float:
     """log of the n-th Bell number, by Dobinski's series: `log_bell_many`
@@ -134,25 +138,35 @@ def log_bell(n) -> float:
 
 def log_bell_many(n: np.ndarray) -> np.ndarray:
     """log B_n of every entry of an integer array.  The distinct values
-    share one Lambert W call for their saddle points, and each value's
-    window is summed on its own, so an entry's bits do not depend on the
-    other entries."""
+    share one Lambert W call for their saddle points.  Their windows are
+    zero-padded into one table, one column per value plus an all-zero last
+    column as in `_weight_table`, so numpy adds every column in index
+    order and an entry's bits do not depend on the other entries.  A table
+    holds at most _BELL_TABLE_ELEMENTS entries; more values take more
+    tables."""
     n = np.asarray(n)
     if n.size and (n.dtype.kind not in "iu" or n.min() < 0):
         raise ValueError("Bell numbers need integer n >= 0")
     vals, inverse = np.unique(n, return_inverse=True)
     saddles = lambert_w0(vals.astype(float))
     logs = np.zeros(vals.shape)  # log B_0 = 0
-    for i in np.flatnonzero(vals):
-        v, u = int(vals[i]), float(saddles[i])
-        center = v / u
-        sigma = math.sqrt(center / (u + 1.0))
-        lo = max(1, int(center - 14.0 * sigma) - 20)
-        hi = int(center + 14.0 * sigma) + 20
-        ls = np.arange(lo, hi + 1, dtype=float)
-        t = v * np.log(ls) - gammaln(ls + 1.0)
-        m = float(t.max())
-        logs[i] = m + math.log(float(np.sum(np.exp(t - m)))) - 1.0
+    nz = np.flatnonzero(vals)
+    v, u = vals[nz].astype(float), saddles[nz]
+    center = v / u
+    sigma = np.sqrt(center / (u + 1.0))
+    lo = np.maximum(1, (center - 14.0 * sigma).astype(np.int64) - 20)
+    hi = (center + 14.0 * sigma).astype(np.int64) + 20
+    step = max(1, _BELL_TABLE_ELEMENTS // int(np.max(hi - lo + 1, initial=1)))
+    for start in range(0, nz.size, step):
+        cols = slice(start, start + step)
+        offsets = np.arange(int(np.max(hi[cols] - lo[cols])) + 1)[:, None]
+        ls = (lo[cols] + offsets).astype(float)
+        inside = ls <= hi[cols]
+        t = v[cols] * np.log(ls) - gammaln(ls + 1.0)
+        m = np.max(t, axis=0, where=inside, initial=-np.inf)
+        terms = np.zeros((ls.shape[0], ls.shape[1] + 1))
+        np.exp(t - m, out=terms[:, :-1], where=inside)
+        logs[nz[cols]] = m + np.log(np.add.reduce(terms, axis=0)[:-1]) - 1.0
     return logs[inverse].reshape(n.shape)
 
 

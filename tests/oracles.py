@@ -333,8 +333,8 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     """The CSV lines of `theory --delta-grid`, one fresh LocalAlternative
     and one call of the public bias/AMSE functions per (delta, estimator)."""
     from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
+    from bellshrink.cli import _fmt
     from bellshrink.linalg import spd_solve
-    from bellshrink.montecarlo import _fmt
     from bellshrink.shrinkage import estimator_names
 
     r = rest.n_restrictions

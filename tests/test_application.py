@@ -1,5 +1,8 @@
 """Data-pipeline checks: CSV ingestion, bootstrap efficiency and its AIC comparison."""
+import contextlib
 import dataclasses
+import io
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bellshrink.montecarlo as mc
+from bellshrink import cli
 from bellshrink.application import (
     BootstrapConfig,
     DataFormatError,
     _ResampleDraw,
     bootstrap_bre,
     load_dataset,
-    write_bre_csv,
 )
 from bellshrink.bell_glm import Dataset, fit, loglik
 from bellshrink.shrinkage import LinearRestriction, compute_all
@@ -333,24 +336,40 @@ def test_bootstrap_bre_bit_reproducible():
     assert a.n_retry == b.n_retry
 
 
+def bootstrap_cli(tmp_path, data, rest, *flags):
+    """`bellshrink bootstrap` run in this process on data, written as a CSV
+    with covariates x1, x2, ..., and rest, written as a restriction file:
+    (bytes of the --out file, printed text)."""
+    names = [f"x{j}" for j in range(1, data.n_params)]
+    rows = [
+        ",".join([str(yi), *map(repr, xi[1:])]) for yi, xi in zip(data.y.tolist(), data.X.tolist())
+    ]
+    data_path = write_csv(tmp_path, "\n".join([",".join(["y", *names]), *rows]) + "\n")
+    hypothesis = [
+        " ".join(map(repr, row)) + f" | {b!r}" for row, b in zip(rest.H.tolist(), rest.h.tolist())
+    ]
+    rest_path = write_csv(tmp_path, "\n".join(hypothesis) + "\n", "restriction.txt")
+    out = tmp_path / "bre.csv"
+    argv = ["bootstrap", "--data", str(data_path), "--response", "y", "--covariates",
+            ",".join(names), "--restriction", str(rest_path), *flags, "--out", str(out)]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(argv) == 0
+    return out.read_bytes(), printed.getvalue()
+
+
 def test_bootstrap_csv_independent_of_stack_size(monkeypatch, tmp_path):
     # Resampling 15 of 150 low-count rows makes some refits fail, so
     # redrawn replications are stacked differently under each cap.
     data = synthetic_restricted_data(150, np.array([-0.5, 0.0, 0.4, 0.0, 0.3]), 5)
-    cfg = BootstrapConfig(
-        restriction=selection_restriction(5, [1, 3]),
-        resample_size=15,
-        replications=100,
-        seed=4,
-    )
+    rest = selection_restriction(5, [1, 3])
+    flags = ["--resample-size", "15", "--replications", "100", "--seed", "4"]
     blobs = set()
-    for cap in (1, 7, cfg.replications):
-        monkeypatch.setattr(mc, "_STACK_ELEMENTS", cap * cfg.resample_size * 5)
-        report = bootstrap_bre(data, cfg)
-        path = tmp_path / f"bre{cap}.csv"
-        write_bre_csv(report, path)
-        blobs.add(path.read_bytes())
-    assert report.n_retry > 0
+    for cap in (1, 7, 100):
+        monkeypatch.setattr(mc, "_STACK_ELEMENTS", cap * 15 * 5)
+        blob, printed = bootstrap_cli(tmp_path, data, rest, *flags)
+        blobs.add(blob)
+    assert int(re.search(r"failed refits: (\d+) of", printed).group(1)) > 0
     assert len(blobs) == 1
 
 
@@ -388,11 +407,9 @@ def test_write_bre_csv_layout(tmp_path):
     beta = np.array([0.3, 0.0, 0.4])
     data = synthetic_restricted_data(80, beta, SEED + 6)
     rest = selection_restriction(3, [1])
-    cfg = BootstrapConfig(restriction=rest, resample_size=80, replications=50, seed=1)
-    report = bootstrap_bre(data, cfg, coef_names=("intercept", "x1", "x2"))
-    path = tmp_path / "bre.csv"
-    write_bre_csv(report, path)
-    lines = path.read_text().splitlines()
+    flags = ["--resample-size", "80", "--replications", "50", "--seed", "1"]
+    blob, _ = bootstrap_cli(tmp_path, data, rest, *flags)
+    lines = blob.decode().splitlines()
     assert lines[0] == "estimator,coefficient,estimate,se,bre"
     assert len(lines) == 1 + 3 * 3  # UN/RE/PTE rows, three coefficients each
     assert lines[1].startswith("UN,intercept,")

@@ -463,6 +463,8 @@ def test_data_file_not_utf8_is_data_error(tmp_path):
         ["theory", "--restriction", "{rest}", "--delta-grid", "1,1_0"],
         ["theory", "--restriction", "{rest}", "--delta-grid", "1", "--direction", "1_0,0,0"],
         ["theory", "--restriction", "{rest}", "--gamma", "0", "--alpha", "0.0_5"],
+        # an empty --direction, as an empty --gamma or --delta-grid
+        ["theory", "--restriction", "{rest}", "--delta-grid", "1", "--direction", ""],
     ],
 )
 def test_bad_flag_value_is_usage_error_before_any_output(args, data_csv, restriction_file, tmp_path):
@@ -555,6 +557,51 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert len(modules) > 1 and stale == []
+
+
+def test_csv_writer_bytes(tmp_path):
+    path = tmp_path / "cells.csv"
+    rows = [
+        (3, np.int64(-4), 0.1, np.float64(1.0 / 3.0), float("inf"), np.nan, "UN"),
+        (0, np.int64(2**40), 1e20, np.float64(-2.5e-300), -np.inf, float("nan"), "x 1"),
+    ]
+    cli._write(path, cli._csv("a,b,c,d,e,f,g", rows))
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f,g\n"
+        b"3,-4,0.1,0.333333333333,inf,nan,UN\n"
+        b"0,1099511627776,1e+20,-2.5e-300,-inf,nan,x 1\n"
+    )
+
+
+def _writes_a_file(node: ast.Call) -> bool:
+    """Whether a call opens a file for writing: open() or Path.open() in a
+    mode other than read (or in a mode not written out), or a numpy, pathlib
+    or pandas call that writes."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name in {"write_text", "write_bytes", "save", "savez", "savetxt", "tofile", "to_csv"}:
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+    modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+def test_only_the_cli_writes_files():
+    # The CLI decides how every output file is written; library modules
+    # return results.
+    package = Path(bellshrink.__file__).resolve().parent
+    writers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    }
+    assert writers == {"cli.py"}
 
 
 def test_every_bench_tracer_target_resolves():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bellshrink.montecarlo as mc
+from bellshrink import cli
 from bellshrink.bell_glm import Dataset, FittedModel, fit, fit_many
 from bellshrink.montecarlo import (
     ConvergenceError,
@@ -12,8 +13,6 @@ from bellshrink.montecarlo import (
     build_restriction,
     generate_dataset,
     run_simulation,
-    write_curves_csv,
-    write_table_csv,
 )
 from bellshrink.shrinkage import estimate_many
 
@@ -293,11 +292,23 @@ def test_singular_member_is_a_nan_row_and_its_replication_is_redrawn():
 # -------------------------------------------------------------------- output
 
 
+def simulate_csvs(tmp_path, tag, threads=1, **keys):
+    """The table and curves files of `bellshrink simulate`, run in this
+    process on a config of `keys`: (table bytes, curves bytes)."""
+    cfg = tmp_path / f"{tag}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    out = tmp_path / f"{tag}.csv"
+    argv = ["simulate", "--config", str(cfg), "--threads", str(threads), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return out.read_bytes(), (tmp_path / f"{tag}_curves.csv").read_bytes()
+
+
+SMALL_KEYS = dict(n=50, p=3, alpha=0.05, seed=SEED)
+
+
 def test_table_csv_layout(tmp_path):
-    result = run_simulation(small_config(tau_grid=(0.0, 1.0), replications=40))
-    path = tmp_path / "table.csv"
-    write_table_csv(result.grid, path)
-    lines = path.read_text().splitlines()
+    table, _ = simulate_csvs(tmp_path, "t", tau="0, 1", replications=40, **SMALL_KEYS)
+    lines = table.decode().splitlines()
     assert lines[0] == "n,p,tau,estimator,smse,sre,sre_se,n_retry"
     assert len(lines) == 1 + 2 * 4  # two grid points, four ratio estimators
     first = lines[1].split(",")
@@ -306,27 +317,15 @@ def test_table_csv_layout(tmp_path):
 
 
 def test_curves_csv_layout(tmp_path):
-    result = run_simulation(small_config(tau_grid=(0.0, 0.5, 1.0), replications=40))
-    path = tmp_path / "curves.csv"
-    write_curves_csv(result.grid, path)
-    lines = path.read_text().splitlines()
+    _, curves = simulate_csvs(tmp_path, "c", tau="0, 0.5, 1", replications=40, **SMALL_KEYS)
+    lines = curves.decode().splitlines()
     assert lines[0] == "n,p,tau,estimator,sre"
     assert len(lines) == 1 + 3 * 4
 
 
 def test_csv_bytes_stable_across_runs(tmp_path):
-    cfg = small_config(replications=30)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_table_csv(run_simulation(cfg).grid, p1)
-    write_table_csv(run_simulation(cfg).grid, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def _csv_bytes(grid, tmp_path, tag):
-    table, curves = tmp_path / f"{tag}.csv", tmp_path / f"{tag}_curves.csv"
-    write_table_csv(grid, table)
-    write_curves_csv(grid, curves)
-    return table.read_bytes() + curves.read_bytes()
+    first = simulate_csvs(tmp_path, "a", tau=0, replications=30, **SMALL_KEYS)
+    assert simulate_csvs(tmp_path, "b", tau=0, replications=30, **SMALL_KEYS) == first
 
 
 def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
@@ -340,16 +339,15 @@ def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
         return dataclasses.replace(fits, converged=fits.converged & (y.sum(axis=1) % 29 != 0))
 
     monkeypatch.setattr(mc, "fit_many", fit_many_failing_some)
-    cfg = small_config(n=20, p=6, tau_grid=(0.0, 1.0), replications=60, seed=3)
-    entries = cfg.n * (cfg.p + 1)
+    keys = dict(n=20, p=6, tau="0, 1", replications=60, seed=3)
+    entries = keys["n"] * (keys["p"] + 1)
     outputs = {}
-    for cap in (1, 7, cfg.replications):
+    for cap in (1, 7, keys["replications"]):
         with monkeypatch.context() as patch:
             patch.setattr(mc, "_STACK_ELEMENTS", cap * entries)
-            result = run_simulation(cfg)
-        outputs[f"cap {cap}"] = _csv_bytes(result.grid, tmp_path, f"cap{cap}")
-    assert sum(point.n_retry for point in result.grid) > 0
+            outputs[f"cap {cap}"] = simulate_csvs(tmp_path, f"cap{cap}", **keys)
+    table = outputs[f"cap {cap}"][0].decode().splitlines()
+    assert sum(int(line.rsplit(",", 1)[1]) for line in table[1:]) > 0
     for threads in (1, 2):
-        result = run_simulation(cfg, threads=threads)
-        outputs[f"threads {threads}"] = _csv_bytes(result.grid, tmp_path, f"t{threads}")
+        outputs[f"threads {threads}"] = simulate_csvs(tmp_path, f"t{threads}", threads, **keys)
     assert len(set(outputs.values())) == 1, sorted(outputs)

@@ -25,6 +25,7 @@ from bellshrink.special_fn import (
     inv_moment,
     lambert_w0,
     log_bell,
+    log_bell_many,
     noncentral_chisq_cdf,
     truncated_inv_moment,
 )
@@ -174,6 +175,16 @@ def test_log_bell_rejects_bad_input():
         log_bell(-1)
     with pytest.raises(ValueError):
         log_bell(2.5)
+
+
+def test_log_bell_many_bits_do_not_depend_on_the_table_size(monkeypatch):
+    # One table, one column per value, or a few columns per table: every
+    # window is summed in index order, so each entry keeps its bits.
+    n = np.array([0, 1, 2, 3, 50, 700, 1664, 100_000, 3, 0])
+    whole = log_bell_many(n)
+    for cap in (1, 60, 300):
+        monkeypatch.setattr(special_fn, "_BELL_TABLE_ELEMENTS", cap)
+        np.testing.assert_array_equal(log_bell_many(n), whole)
 
 
 # ------------------------------------------------------- noncentral chi-square
