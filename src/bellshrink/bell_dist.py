@@ -11,8 +11,23 @@ where B_y is the y-th Bell number.  Mean and variance are
 so the law is overdispersed for every theta and the mean determines theta
 through the Lambert W function.
 
-Sampling uses the compound-Poisson representation: Y is a sum of N i.i.d.
-zero-truncated Poisson(theta) variates with N ~ Poisson(e**theta - 1).
+Sampling uses Dobinski's formula, B_y = e**-1 * sum_k k**y / k!.  With
+lam = e**theta it turns the pmf into
+
+    P(Y = y) = e**-lam * sum_k (theta k)**y / (k! y!)
+             = sum_k [e**-lam lam**k / k!] * [e**-(theta k) (theta k)**y / y!],
+
+because lam**k = e**(theta k).  So Y is Poisson(theta * K) with
+K ~ Poisson(e**theta): the Neyman Type A law with lam = e**theta and
+phi = theta (Johnson, Kemp and Kotz, Univariate Discrete Distributions, 3rd
+ed., 2005, ch. 9; Castellares, Ferrari and Lemonte, "On the Bell distribution
+and its associated regression model for count data", Applied Mathematical
+Modelling 56, 2018).  Two Poisson draws per count give an exact sampler whose
+cost does not grow with theta.
+
+`BellParam`, `log_pmf`, `pmf`, `moments` and `sample` are public API, as the
+README documents them, alongside `sample_counts`, which the simulation engine
+calls.
 """
 
 from __future__ import annotations
@@ -34,8 +49,6 @@ __all__ = [
 ]
 
 _PARAM_RTOL = 1e-8
-_ZTP_INVERSION_BELOW = 0.1
-_ARRAY_REDRAW_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -99,69 +112,13 @@ def moments(param: BellParam) -> tuple[float, float]:
     return param.mu, param.mu * (1.0 + param.theta)
 
 
-def _ztp(theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Zero-truncated Poisson draws, one per entry of theta.
-
-    Rejection from Poisson(theta) is efficient except near zero, where the
-    acceptance rate collapses; below 0.1 the series inversion is used.
-    """
-    out = np.empty(theta.shape, dtype=np.int64)
-    small = theta < _ZTP_INVERSION_BELOW
-    if small.any():
-        th = theta[small]
-        # Unnormalized target: cumulative of theta**k / k! from k = 1.
-        u = rng.random(th.shape) * np.expm1(th)
-        k = np.ones(th.shape, dtype=np.int64)
-        term = th.copy()
-        csum = term.copy()
-        active = csum < u
-        while active.any():
-            k[active] += 1
-            term[active] *= th[active] / k[active]
-            csum[active] += term[active]
-            active = csum < u
-        out[small] = k
-    big = ~small
-    if big.any():
-        th = theta[big]
-        draws = rng.poisson(th)
-        # Each round redraws the still-zero parts in ascending order.  The
-        # generator draws array entries one after another, so a round of
-        # scalar calls takes the same numbers from the stream, and below
-        # _ARRAY_REDRAW_MIN parts it costs less than one array call.
-        pending = np.flatnonzero(draws == 0)
-        while pending.size >= _ARRAY_REDRAW_MIN:
-            redraw = rng.poisson(th[pending])
-            draws[pending] = redraw
-            pending = pending[redraw == 0]
-        tail = [(int(i), float(th[i])) for i in pending]
-        while tail:
-            still = []
-            for i, t in tail:
-                draw = rng.poisson(t)
-                if draw:
-                    draws[i] = draw
-                else:
-                    still.append((i, t))
-            tail = still
-        out[big] = draws
-    return out
-
-
 def sample_counts(theta, rng: np.random.Generator) -> np.ndarray:
-    """One Bell draw per entry of the theta vector (compound-Poisson form)."""
+    """One Bell draw per entry of the theta array: Poisson(theta * K) with
+    K ~ Poisson(e**theta), as the module docstring derives."""
     theta = np.asarray(theta, dtype=float)
     if theta.size and (np.any(theta <= 0.0) or not np.all(np.isfinite(theta))):
         raise ValueError("sample_counts requires finite theta > 0")
-    n_parts = rng.poisson(np.expm1(theta))
-    total = int(n_parts.sum())
-    if total == 0:
-        return np.zeros(theta.shape, dtype=np.int64)
-    reps = np.repeat(theta, n_parts)
-    parts = _ztp(reps, rng)
-    idx = np.repeat(np.arange(theta.size), n_parts)
-    sums = np.bincount(idx, weights=parts, minlength=theta.size)
-    return sums.astype(np.int64)
+    return rng.poisson(theta * rng.poisson(np.exp(theta))).astype(np.int64)
 
 
 def sample(param: BellParam, rng: np.random.Generator, size: int | None = None):

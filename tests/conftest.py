@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import bellshrink
-from bellshrink.bell_dist import sample_counts
 from bellshrink.bell_glm import Dataset
 from bellshrink.special_fn import lambert_w0
+from oracles import compound_sample_counts
 
 
 def build_design(n, p, rng):
@@ -19,7 +19,10 @@ def build_design(n, p, rng):
 
 
 def simulate_dataset(n, beta, seed, scale=0.3):
-    """Bell-distributed counts with log mean X @ beta; covariates ~ N(0, scale^2)."""
+    """Bell-distributed counts with log mean X @ beta; covariates ~ N(0, scale^2).
+
+    The counts come from the compound sampler in `oracles`, so fixture
+    datasets keep their bytes whatever the package's sampler draws."""
     rng = np.random.default_rng(seed)
     beta = np.asarray(beta, dtype=float)
     p = beta.size - 1
@@ -27,7 +30,7 @@ def simulate_dataset(n, beta, seed, scale=0.3):
     X[:, 1:] *= scale
     mu = np.exp(X @ beta)
     theta = lambert_w0(mu)
-    y = sample_counts(theta, rng)
+    y = compound_sample_counts(theta, rng)
     return Dataset(X=X, y=y)
 
 

@@ -19,6 +19,10 @@ round, `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
 `per_member_estimators`, the five estimators of one fit from their
 textbook formulas, one solve at a time, and `lambert_w0_allocating`, the
 Halley iteration of `lambert_w0` with fresh arrays on every pass.
+
+`compound_sample_counts` keeps the package's earlier Bell sampler, a sum
+of zero-truncated Poisson parts, bit for bit: `conftest.simulate_dataset`
+draws the fixture datasets with it, so they keep their bytes.
 """
 import csv
 
@@ -327,6 +331,40 @@ def ztp_rejection_masked(theta, rng):
         draws[reject] = rng.poisson(theta[reject])
         reject = draws == 0
     return draws
+
+
+def compound_sample_counts(theta, rng):
+    """Bell draws in compound-Poisson form, one per entry of theta: a sum of
+    N ~ Poisson(e**theta - 1) zero-truncated Poisson(theta) parts.
+
+    Parts with theta >= 0.1 come from `ztp_rejection_masked`; below 0.1,
+    where rejection rarely accepts, from inverting the truncated series
+    with one uniform each.  The small parts are drawn first.  Test datasets
+    are drawn with this sampler, so their bytes do not follow the package's.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n_parts = rng.poisson(np.expm1(theta))
+    reps = np.repeat(theta, n_parts)
+    parts = np.empty(reps.shape, dtype=np.int64)
+    small = reps < 0.1
+    if small.any():
+        th = reps[small]
+        # Unnormalized target: cumulative of theta**k / k! from k = 1.
+        u = rng.random(th.shape) * np.expm1(th)
+        k = np.ones(th.shape, dtype=np.int64)
+        term = th.copy()
+        csum = term.copy()
+        active = csum < u
+        while active.any():
+            k[active] += 1
+            term[active] *= th[active] / k[active]
+            csum[active] += term[active]
+            active = csum < u
+        parts[small] = k
+    if not small.all():
+        parts[~small] = ztp_rejection_masked(reps[~small], rng)
+    idx = np.repeat(np.arange(theta.size), n_parts)
+    return np.bincount(idx, weights=parts, minlength=theta.size).astype(np.int64)
 
 
 def theory_sweep_lines(rest, fisher, deltas, direction, alpha):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from bellshrink import bell_dist
 from bellshrink.bell_dist import (
     BellParam,
     log_pmf,
@@ -16,7 +16,7 @@ from bellshrink.bell_dist import (
     sample_counts,
 )
 from bellshrink.special_fn import lambert_w0
-from oracles import inversion_sample, pooled_gof, ztp_rejection_masked
+from oracles import compound_sample_counts, inversion_sample, pooled_gof
 
 SEED = 61409
 
@@ -142,29 +142,43 @@ def test_sampler_dispersion_ratio():
     assert abs(ratio - 2.0) / 2.0 < 0.05
 
 
-def test_sampler_goodness_of_fit_against_pmf():
-    theta = 0.7
+def binned_gof_pvalue(draws, theta):
+    """Chi-square p-value of draws against the Bell(theta) pmf, adjacent
+    counts merged until each bin expects at least 20 draws."""
     param = BellParam.from_theta(theta)
+    mean, var = moments(param)
+    top = int(mean + 12.0 * math.sqrt(var)) + 30
+    table = pmf(np.arange(top), param)
+    counts = np.bincount(draws, minlength=top)[:top]
+    counts[-1] += (draws >= top).sum()
+    obs, probs = [], []
+    acc_obs = acc_prob = 0.0
+    for o, q in zip(counts, table):
+        acc_obs += o
+        acc_prob += q
+        if acc_prob * draws.size >= 20.0:
+            obs.append(acc_obs)
+            probs.append(acc_prob)
+            acc_obs = acc_prob = 0.0
+    obs.append(acc_obs)
+    probs.append(acc_prob)
+    _, pvalue, _ = pooled_gof(obs, probs, draws.size)
+    return pvalue
+
+
+# At 0.05 about 95% of counts are 0; at 8 the mean count is about 24,000.
+@pytest.mark.parametrize("theta", [0.05, 0.7, 2.0, 4.0, 8.0])
+def test_sampler_goodness_of_fit_against_pmf(theta):
     rng = np.random.default_rng(SEED + 2)
-    n = 100_000
-    draws = sample(param, rng, size=n)
-    table = pmf_table(theta)
-    counts = np.bincount(draws, minlength=len(table))[: len(table)]
-    counts[-1] += (draws >= len(table)).sum()
-    _, pvalue, _ = pooled_gof(counts, table, n)
-    assert pvalue > 0.01
+    draws = sample(BellParam.from_theta(theta), rng, size=200_000)
+    assert binned_gof_pvalue(draws, theta) > 0.01
 
 
-def test_compound_and_inversion_samplers_agree():
-    param = BellParam.from_theta(1.2)
-    rng = np.random.default_rng(SEED + 3)
-    n = 100_000
-    a = sample(param, rng, size=n)
-    b = inversion_sample(param, rng, size=n)
+def two_sample_pvalue(a, b):
+    """Two-sample chi-square p-value on count bins pooled to >= 10 draws."""
     top = max(a.max(), b.max()) + 1
     ca = np.bincount(a, minlength=top).astype(float)
     cb = np.bincount(b, minlength=top).astype(float)
-    # two-sample chi-square on pooled bins
     keep = (ca + cb) >= 10
     ca_k = np.concatenate([ca[keep][:-1], [ca[~keep].sum() + ca[keep][-1]]])
     cb_k = np.concatenate([cb[keep][:-1], [cb[~keep].sum() + cb[keep][-1]]])
@@ -172,23 +186,20 @@ def test_compound_and_inversion_samplers_agree():
     pooled = (ca_k + cb_k) / (na + nb)
     stat = ((ca_k - na * pooled) ** 2 / (na * pooled)).sum()
     stat += ((cb_k - nb * pooled) ** 2 / (nb * pooled)).sum()
-    from scipy.stats import chi2
-
-    assert chi2.sf(stat, len(ca_k) - 1) > 0.01
+    return chi2.sf(stat, len(ca_k) - 1)
 
 
-def test_small_theta_truncated_branch_matches_pmf():
-    # theta below the inversion switch exercises the small-parameter path
-    theta = 0.05
-    param = BellParam.from_theta(theta)
-    rng = np.random.default_rng(SEED + 4)
-    n = 200_000
-    draws = sample(param, rng, size=n)
-    table = pmf_table(theta)
-    counts = np.bincount(draws, minlength=len(table))[: len(table)]
-    counts[-1] += (draws >= len(table)).sum()
-    _, pvalue, _ = pooled_gof(counts, table, n)
-    assert pvalue > 0.01
+def test_compound_and_inversion_samplers_agree():
+    # the package's two-Poisson sampler and the compound one that draws the
+    # test datasets both match inversion of the cumulative pmf
+    param = BellParam.from_theta(1.2)
+    rng = np.random.default_rng(SEED + 3)
+    n = 100_000
+    mixture = sample(param, rng, size=n)
+    compound = compound_sample_counts(np.full(n, param.theta), rng)
+    inverted = inversion_sample(param, rng, size=n)
+    assert two_sample_pvalue(mixture, inverted) > 0.01
+    assert two_sample_pvalue(compound, inverted) > 0.01
 
 
 def test_sample_counts_heterogeneous_rates():
@@ -209,23 +220,3 @@ def test_sample_counts_deterministic_under_fixed_seed():
     a = sample_counts(theta, np.random.default_rng(77))
     b = sample_counts(theta, np.random.default_rng(77))
     np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize(
-    "theta",
-    [
-        # about 90% zeros per round: many rounds with more, then fewer than
-        # 16 parts pending
-        np.full(3000, 0.1001),
-        np.concatenate([np.full(400, 0.1001), np.linspace(0.1, 6.0, 400)]),
-    ],
-    ids=["near-0.1", "mixed"],
-)
-def test_ztp_rejection_takes_the_stream_of_the_masked_loop(theta):
-    rng_new = np.random.default_rng(SEED)
-    rng_old = np.random.default_rng(SEED)
-    got = bell_dist._ztp(theta, rng_new)
-    want = ztp_rejection_masked(theta, rng_old)
-    assert np.array_equal(got, want) and got.dtype == np.int64
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state
-    assert np.all(got >= 1)

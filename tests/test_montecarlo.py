@@ -166,9 +166,22 @@ def test_each_tau_row_equals_its_single_tau_run():
         assert point.n_retry == alone.n_retry
 
 
+def failing_some(fit_many):
+    """fit_many with a member marked unconverged when the first covariate
+    of its row 0 exceeds 2.2.  Each substream draws X before the counts, so
+    the rule picks the same replication attempts whatever the Bell sampler,
+    and a member fails whatever shares its stack."""
+
+    def fit_many_failing_some(X, y):
+        fits = fit_many(X, y)
+        return dataclasses.replace(fits, converged=fits.converged & (X[:, 0, 1] <= 2.2))
+
+    return fit_many_failing_some
+
+
 @pytest.mark.parametrize("taus", [(0.0,), (0.0, 0.5, 1.0)])
 def test_one_fit_per_replication_attempt_whatever_the_tau_grid(monkeypatch, taus):
-    real_fit_many = mc.fit_many
+    real_fit_many = failing_some(mc.fit_many)
     members = []
 
     def counting_fit_many(X, y):
@@ -329,16 +342,9 @@ def test_csv_bytes_stable_across_runs(tmp_path):
 
 
 def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
-    # A member fails when its own counts sum to a multiple of 29, whatever
-    # shares its stack, so the retry path runs under every stacking.  The
+    # Some members fail, so the retry path runs under every stacking.  The
     # pool's workers fork from this process and inherit the patched fit.
-    real_fit_many = mc.fit_many
-
-    def fit_many_failing_some(X, y):
-        fits = real_fit_many(X, y)
-        return dataclasses.replace(fits, converged=fits.converged & (y.sum(axis=1) % 29 != 0))
-
-    monkeypatch.setattr(mc, "fit_many", fit_many_failing_some)
+    monkeypatch.setattr(mc, "fit_many", failing_some(mc.fit_many))
     keys = dict(n=20, p=6, tau="0, 1", replications=60, seed=3)
     entries = keys["n"] * (keys["p"] + 1)
     outputs = {}
