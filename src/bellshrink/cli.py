@@ -409,17 +409,13 @@ def _cmd_simulate(args) -> int:
     for key in ("n", "p"):
         why = "a repeat would rerun the same replications"
         _reject_repeats(raw[key], f"{args.config}: {key}", why)
-    seed = args.seed if args.seed is not None else raw.get("seed", _DEFAULT_SEED)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    # SimConfig holds the defaults of the keys the file leaves out
+    settings = {key: raw[key] for key in ("replications", "alpha", "seed") if key in raw}
     try:
         configs = [
-            SimConfig(
-                n=n,
-                p=p,
-                tau_grid=tuple(raw["tau"]),
-                replications=raw.get("replications", 1000),
-                alpha=raw.get("alpha", 0.05),
-                seed=seed,
-            )
+            SimConfig(n=n, p=p, tau_grid=tuple(raw["tau"]), **settings)
             for n in raw["n"]
             for p in raw["p"]
         ]

@@ -53,20 +53,19 @@ __all__ = [
 ]
 
 _POISSON_TAIL = 1e-12
-_HALLEY_TOL = 1e-14
-_HALLEY_MAX_ITER = 50
 
 
 def lambert_w0(x):
     """Principal Lambert W branch on [0, inf): the w >= 0 solving w*e**w = x.
 
     Seeded with Winitzki's (2003) approximation w = l (1 - log1p(l)/(2 + l)),
-    l = log1p(x), then refined by Halley's iteration on
-    g(w) = w - x e**-w, which is f(w) = w e**w - x divided by e**w, so no
+    l = log1p(x), then refined by exactly three passes of Halley's iteration
+    on g(w) = w - x e**-w, which is f(w) = w e**w - x divided by e**w, so no
     term overflows anywhere in the domain, the largest float included.
-    Every input in the domain takes at most three passes.  Each entry
-    stops updating once its own step is at most 1e-14 * max(1, w), so an
-    entry's value does not depend on the other entries of the array:
+    From that seed three passes reach double precision on every input in
+    the domain (within 1 ulp of the true value).  Every entry gets the same
+    operations and there is no stopping test, so an entry's value does not
+    depend on the other entries of the array:
     lambert_w0(x)[i] == lambert_w0(x[i]) bit for bit.
 
     Parameters
@@ -83,36 +82,14 @@ def lambert_w0(x):
     if z.size and (np.any(z < 0.0) or not np.all(np.isfinite(z))):
         raise ValueError("lambert_w0 requires finite input >= 0")
     lz = np.log1p(z)
-    w = np.asarray(lz * (1.0 - np.log1p(lz) / (2.0 + lz)))
-    active = np.ones(z.shape, dtype=bool)
-    # Work arrays, reused by every pass: each pass applies the operations of
-    # dw = g / (wp1 - (w + 2) g / (2 wp1)), g = w - z e**-w, wp1 = w + 1, in
-    # that order, and writes w - dw into w where the entry is still active.
-    g, wp1, t, dw = (np.empty_like(w) for _ in range(4))
-    moved = np.empty(z.shape, dtype=bool)
-    for _ in range(_HALLEY_MAX_ITER):
-        np.negative(w, out=g)
-        np.exp(g, out=g)
-        np.multiply(z, g, out=g)
-        np.subtract(w, g, out=g)
-        np.add(w, 1.0, out=wp1)
-        np.add(w, 2.0, out=t)
-        np.multiply(t, g, out=t)
-        np.multiply(wp1, 2.0, out=dw)
-        np.divide(t, dw, out=t)
-        np.subtract(wp1, t, out=t)
-        np.divide(g, t, out=dw)
-        np.subtract(w, dw, out=w, where=active)
-        np.abs(dw, out=dw)
-        np.maximum(w, 1.0, out=t)
-        np.multiply(t, _HALLEY_TOL, out=t)
-        np.greater(dw, t, out=moved)
-        active &= moved
-        if not active.any():
-            break
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    for _ in range(3):
+        g = w - z * np.exp(-w)
+        wp1 = w + 1.0
+        w = w - g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
     if scalar:
         return float(w)
-    return w
+    return np.asarray(w)
 
 
 # --- Bell numbers ---------------------------------------------------------

@@ -11,20 +11,27 @@ compositions of package functions that only the tests use.  `score` and
 one dataset apart from the batched IRLS of `fit_many`, so tests can check
 the Newton decrement S' F^-1 S at the points it returns.
 
-Four references keep an earlier, plainer form of a package routine that
+Three references keep an earlier, plainer form of a package routine that
 was rewritten for speed with the same arithmetic: `ztp_rejection_masked`,
 the zero-truncated Poisson rejection loop that re-masks every part each
 round, `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
 `LocalAlternative` and fresh noncentral chi-square evaluations per delta,
-`per_member_estimators`, the five estimators of one fit from their
-textbook formulas, one solve at a time, and `lambert_w0_allocating`, the
-Halley iteration of `lambert_w0` with fresh arrays on every pass.
+and `per_member_estimators`, the five estimators of one fit from their
+textbook formulas, one solve at a time.
 
 `compound_sample_counts` keeps the package's earlier Bell sampler, a sum
-of zero-truncated Poisson parts, bit for bit: `conftest.simulate_dataset`
+of zero-truncated Poisson parts, bit for bit: `simulate_dataset`
 draws the fixture datasets with it, so they keep their bytes.
+
+`build_design`, `simulate_dataset` and `subprocess_env` make the fixture
+datasets and the environment of CLI child processes.  They live here, not
+in `conftest.py`, because `bench/tests` has a `conftest.py` of its own, and
+a test module's `from conftest import ...` reads whichever conftest pytest
+loaded last when both directories run in one session.
 """
 import csv
+import os
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -392,25 +399,44 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     return lines
 
 
-def lambert_w0_allocating(x):
-    """`special_fn.lambert_w0` as written before its passes reused work
-    arrays: the same seed, operations and stopping rule, each pass
-    allocating its temporaries and selecting the update with np.where."""
-    from bellshrink.special_fn import _HALLEY_MAX_ITER, _HALLEY_TOL
+def build_design(n, p, rng):
+    """Intercept column plus p standard-normal covariates."""
+    X = np.empty((n, p + 1))
+    X[:, 0] = 1.0
+    X[:, 1:] = rng.standard_normal((n, p))
+    return X
 
-    scalar = np.isscalar(x)
-    z = np.asarray(x, dtype=float)
-    lz = np.log1p(z)
-    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(_HALLEY_MAX_ITER):
-        g = w - z * np.exp(-w)
-        wp1 = w + 1.0
-        dw = g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
-        w = np.where(active, w - dw, w)
-        active &= np.abs(dw) > _HALLEY_TOL * np.maximum(1.0, w)
-        if not active.any():
-            break
-    if scalar:
-        return float(w)
-    return w
+
+def simulate_dataset(n, beta, seed, scale=0.3):
+    """Bell-distributed counts with log mean X @ beta; covariates ~ N(0, scale^2).
+
+    The counts come from `compound_sample_counts`, so fixture datasets
+    keep their bytes whatever the package's sampler draws."""
+    from bellshrink.bell_glm import Dataset
+    from bellshrink.special_fn import lambert_w0
+
+    rng = np.random.default_rng(seed)
+    beta = np.asarray(beta, dtype=float)
+    p = beta.size - 1
+    X = build_design(n, p, rng)
+    X[:, 1:] *= scale
+    mu = np.exp(X @ beta)
+    theta = lambert_w0(mu)
+    y = compound_sample_counts(theta, rng)
+    return Dataset(X=X, y=y)
+
+
+def subprocess_env():
+    """Environment for a child Python that must import this very bellshrink.
+
+    Prepends the absolute directory holding the imported package to
+    PYTHONPATH, so a child started with any working directory runs the same
+    code as the test process (a relative ``PYTHONPATH=src`` would not).
+    """
+    import bellshrink
+
+    env = os.environ.copy()
+    root = str(Path(bellshrink.__file__).resolve().parent.parent)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = root + os.pathsep + existing if existing else root
+    return env

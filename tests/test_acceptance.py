@@ -30,13 +30,13 @@ from bellshrink.special_fn import (
     noncentral_chisq_cdf,
     truncated_inv_moment,
 )
-from conftest import subprocess_env
 from oracles import (
     kkt_restricted,
     max_z_score,
     normal_theory_moments,
     pooled_gof,
     quad_inv_moment,
+    subprocess_env,
 )
 
 RESULTS = {}

@@ -18,10 +18,9 @@ from bellshrink.application import (
     bootstrap_bre,
     load_dataset,
 )
-from bellshrink.bell_glm import Dataset, fit, loglik
-from bellshrink.shrinkage import LinearRestriction, compute_all
-from conftest import simulate_dataset
-from oracles import load_dataset_rowwise
+from bellshrink.bell_glm import Dataset, fit, fit_many, loglik
+from bellshrink.shrinkage import ESTIMATOR_ORDER, LinearRestriction, compute_all, estimate_many
+from oracles import load_dataset_rowwise, simulate_dataset
 
 SEED = 550124
 
@@ -422,8 +421,26 @@ def test_bootstrap_report_prefers_restricted_aic_when_restriction_true():
     cfg = BootstrapConfig(restriction=rest, resample_size=100, replications=5, seed=SEED)
     report = bootstrap_bre(data, cfg)
     assert report.f_stat >= 0.0
-    assert report.aic_restricted < report.aic_full
     full = fit(data)
     assert report.aic_full == 2.0 * 4 - 2.0 * loglik(full.beta, data)
     re = compute_all(full, rest).re
     assert report.aic_restricted == 2.0 * (4 - 2) - 2.0 * loglik(re, data)
+
+
+def test_restricted_aic_wins_at_the_chi_square_rate_when_restriction_true():
+    # With r = 2 true restrictions, AIC(restricted) < AIC(full) is LR < 4,
+    # and LR ~ chi2(2) asymptotically: P(chi2_2 < 4) = 1 - e**-2 = 0.8647.
+    # The share over 400 datasets must lie within 4 binomial SEs of it.
+    beta = np.array([0.4, 0.0, 0.3, 0.0])
+    rest = selection_restriction(4, [1, 3])
+    data = [synthetic_restricted_data(400, beta, SEED + 100 + i) for i in range(400)]
+    models = fit_many(np.stack([d.X for d in data]), np.stack([d.y for d in data]))
+    est, _, ok = estimate_many(models.beta, models.fisher_info, rest)
+    assert models.converged.all() and ok.all()
+    re = est[:, ESTIMATOR_ORDER.index("RE")]
+    wins = [
+        2.0 * (4 - 2) - 2.0 * loglik(b_re, d) < 2.0 * 4 - 2.0 * loglik(b_un, d)
+        for b_un, b_re, d in zip(models.beta, re, data)
+    ]
+    p = 1.0 - np.exp(-2.0)
+    assert abs(np.mean(wins) - p) <= 4.0 * np.sqrt(p * (1.0 - p) / len(wins))

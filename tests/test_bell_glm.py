@@ -22,8 +22,7 @@ from bellshrink.bell_glm import (
 from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.montecarlo import generate_dataset
 from bellshrink.special_fn import log_bell, log_bell_many
-from conftest import build_design, simulate_dataset
-from oracles import fisher_information, score
+from oracles import build_design, fisher_information, score, simulate_dataset
 
 SEED = 90210
 

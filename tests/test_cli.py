@@ -15,7 +15,7 @@ from scipy.stats import chi2
 import bellshrink
 from bellshrink import cli
 from bellshrink.cli import _parse_sim_config
-from conftest import simulate_dataset, subprocess_env
+from oracles import simulate_dataset, subprocess_env
 
 SEED = 41522
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -1,5 +1,8 @@
 """Simulation-engine checks: restriction grids, substreams, aggregation, CSVs."""
 import dataclasses
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -343,8 +346,11 @@ def test_csv_bytes_stable_across_runs(tmp_path):
 
 def test_csv_bytes_independent_of_stack_size_and_threads(monkeypatch, tmp_path):
     # Some members fail, so the retry path runs under every stacking.  The
-    # pool's workers fork from this process and inherit the patched fit.
+    # pool is pinned to fork, whatever the platform's default start method,
+    # so its workers inherit the patched fit.
     monkeypatch.setattr(mc, "fit_many", failing_some(mc.fit_many))
+    fork_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", fork_pool)
     keys = dict(n=20, p=6, tau="0, 1", replications=60, seed=3)
     entries = keys["n"] * (keys["p"] + 1)
     outputs = {}

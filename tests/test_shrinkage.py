@@ -15,8 +15,7 @@ from bellshrink.shrinkage import (
     estimate_many,
     load_restriction,
 )
-from conftest import simulate_dataset
-from oracles import kkt_restricted, lr_statistic, per_member_estimators
+from oracles import kkt_restricted, lr_statistic, per_member_estimators, simulate_dataset
 
 SEED = 445566
 
