@@ -236,9 +236,8 @@ def bootstrap_bre(data: Dataset, cfg: BootstrapConfig) -> BREReport:
     draw = _ResampleDraw(data.X, data.y, cfg.seed, cfg.resample_size)
     budget = int(_MAX_FAILURE_RATE * cfg.replications)
     est, retries = _replicate(
-        (draw, list(range(cfg.replications)), [cfg.restriction], cfg.alpha, budget)
+        (draw, list(range(cfg.replications)), cfg.restriction, cfg.alpha, budget)
     )
-    est = est[:, 0]
     if retries > budget:
         raise ConvergenceError(
             f"{retries} failed bootstrap refits exceed the {_MAX_FAILURE_RATE:.0%} "

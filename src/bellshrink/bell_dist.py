@@ -116,9 +116,9 @@ def sample_counts(theta, rng: np.random.Generator) -> np.ndarray:
     """One Bell draw per entry of the theta array: Poisson(theta * K) with
     K ~ Poisson(e**theta), as the module docstring derives."""
     theta = np.asarray(theta, dtype=float)
-    if theta.size and (np.any(theta <= 0.0) or not np.all(np.isfinite(theta))):
+    if theta.size and not (np.isfinite(theta).all() and theta.min() > 0.0):
         raise ValueError("sample_counts requires finite theta > 0")
-    return rng.poisson(theta * rng.poisson(np.exp(theta))).astype(np.int64)
+    return rng.poisson(theta * rng.poisson(np.exp(theta))).astype(np.int64, copy=False)
 
 
 def sample(param: BellParam, rng: np.random.Generator, size: int | None = None):

@@ -5,41 +5,50 @@ For responses y_i ~ Bell(theta_i) and covariate rows x_i, the model sets
     mu_i = exp(x_i' beta),    theta_i = W(mu_i),
 
 with W the Lambert function.  Writing the log-likelihood kernel as
-sum_i [ y_i log theta_i - exp(theta_i) + 1 ], the score and expected
-information are
+sum_i [ y_i log theta_i - exp(theta_i) + 1 ], the score, the expected
+information and the observed information are
 
     S(beta) = sum_i x_i (y_i - mu_i) / (1 + theta_i),
     F(beta) = X' V X,   V = diag( mu_i / (1 + theta_i) ),
+    J(beta) = X' W X,   W = diag( [mu_i (1 + theta_i + theta_i**2)
+                                   + y_i theta_i] / (1 + theta_i)**3 ).
 
-and fitting is iteratively reweighted least squares on the working
-response eta_i + (y_i - mu_i) / mu_i.  F is the total (not per-row)
-information, so Wald statistics downstream need no extra sample-size
-factor.
+Every weight in W is positive for y >= 0, so J is positive definite
+wherever X has full rank and the kernel is strictly concave in beta.  The
+log link is not the Bell law's canonical link, so J differs from F and
+Fisher scoring on F would converge only linearly (McCullagh and Nelder,
+Generalized Linear Models, 2nd ed., 1989); fitting is Newton-Raphson on J,
+which converges quadratically.  F is the total (not per-row) information
+the estimators and Wald statistics downstream read, so they need no extra
+sample-size factor.
 
-There is one fitting engine, `fit_many`, which runs this IRLS on a stack
-of R datasets of one shape (X as (R, n, k), y as (R, n)) with batched
+There is one fitting engine, `fit_many`, which runs Newton-Raphson on a
+stack of R datasets of one shape (X as (R, n, k), y as (R, n)) with batched
 matrix products and one batched SPD solve (`linalg.spd_solve_stack`) per
 iteration, so its Python cost does not grow with the number of members.
-Members that converge leave the stack, and step halving, clamp counting
-and the convergence test are decided per member.  A member converges on
-the Newton decrement S' F^-1 S at an unclamped iterate (Boyd and
-Vandenberghe, Convex Optimization, 2004, sec. 9.5.1), which does not
-depend on the scale of the covariates; the decrement is the solved step
-dotted with the score, so the test costs nothing beyond the solve, and the
-fit never evaluates the log-likelihood or its Bell-number constants.
-Theta at each accepted iterate is kept for the next iteration and for the
-fitted model, so an iteration costs one Lambert W evaluation.  The Newton
-step is solved for directly, not as the next iterate less the current one,
-so designs with an ill-conditioned covariate (a large offset against a
-small spread) still converge.  The result is one `FittedModel` of arrays
-with a leading member axis, each member's row written as it leaves the
-stack.  A member whose design is rank deficient (numpy's matrix_rank rule)
-or whose information matrix `linalg.spd_solve_stack` flags keeps a NaN row
-without failing its neighbours, and `fit`, the stack of one, raises
-SingularMatrixError for it.  Every operation, the batched solve included,
-acts on one member at a time or element by element, so a member's result
-is the same to the last bit whatever else shares its stack; outputs built
-on the engine therefore do not depend on how replications are batched.
+The start is the least-squares fit of log(y + 0.5), from the normal
+equations through the same batched solve.  Members that converge leave the
+stack, and step halving, clamp counting and the convergence test are
+decided per member.  A member converges on the Newton decrement
+S' J^-1 S at an unclamped iterate (Boyd and Vandenberghe, Convex
+Optimization, 2004, sec. 9.5.1), which does not depend on the scale of the
+covariates; the decrement is the solved step dotted with the score, so the
+test costs nothing beyond the solve, and the fit never evaluates the
+log-likelihood or its Bell-number constants.  Theta at each accepted
+iterate is kept for the next iteration and for the fitted model, so an
+iteration costs one Lambert W evaluation, and F is formed once per member,
+at the point it returns.  The Newton step is solved for directly, not as
+the next iterate less the current one, so designs with an ill-conditioned
+covariate (a large offset against a small spread) still converge.  The
+result is one `FittedModel` of arrays with a leading member axis, each
+member's row written as it leaves the stack.  A member whose design is
+rank deficient (numpy's matrix_rank rule) or whose observed information
+`linalg.spd_solve_stack` flags keeps a NaN row without failing its
+neighbours, and `fit`, the stack of one, raises SingularMatrixError for it.
+Every operation, the batched solve included, acts on one member at a time
+or element by element, so a member's result is the same to the last bit
+whatever else shares its stack; outputs built on the engine therefore do
+not depend on how replications are batched.
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ logger = logging.getLogger(__name__)
 # A step is halved only when it lowers the clamped kernel by more than this
 # fraction of (1 + |kernel|), so roundoff near the optimum cannot shrink it.
 _KERNEL_RTOL = 1e-11
-# Converge once the Newton decrement S' F^-1 S at an unclamped iterate is
+# Converge once the Newton decrement S' (X'WX)^-1 S at an unclamped iterate is
 # below _DECREMENT_TOL; give up after _MAX_ITER iterations; clamp the linear
 # predictor to +-_ETA_BOUND; halve a step at most _MAX_HALVINGS times.
 _DECREMENT_TOL = 1e-12
@@ -121,10 +130,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """IRLS output: coefficients, total Fisher information at the optimum,
-    and iteration diagnostics.  The information is taken at the clamped
-    linear predictor, which differs from the plain one only in fits that
-    end with converged=False.  `loglik(model.beta, data)` gives the
+    """Fit output: coefficients, total expected (Fisher) information at the
+    optimum, and iteration diagnostics.  The information is taken at the
+    clamped linear predictor, which differs from the plain one only in fits
+    that end with converged=False.  `loglik(model.beta, data)` gives the
     log-likelihood.  `fit` returns one model, with Python scalars;
     `fit_many` a stack, each field with a leading member axis."""
 
@@ -187,7 +196,7 @@ class _Members(NamedTuple):
 
 
 class _Point(NamedTuple):
-    """IRLS iterates of a stack: coefficients (m, k); clip(eta) - eta, which
+    """Newton iterates of a stack: coefficients (m, k); clip(eta) - eta, which
     is nonzero only on clamped rows, mean and theta at the clamped linear
     predictor (m, n); the clamped kernel and the number of clamped linear
     predictors (m,)."""
@@ -201,13 +210,15 @@ class _Point(NamedTuple):
 
 
 def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Point:
-    """The clamped kernel and its ingredients at beta, one Lambert W call."""
+    """The clamped kernel and its ingredients at beta, one Lambert W call.
+    theta e**theta = mu gives log theta = eta - theta and e**theta =
+    mu / theta at the clamped eta, so the kernel needs no log or exp."""
     eta = np.matmul(X, beta[..., None])[..., 0]
     clamped = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
     excess = clamped - eta
     mu = np.exp(clamped)
     theta = lambert_w0(mu)
-    kern = np.sum(y * np.log(theta) - np.exp(theta), axis=-1) + y.shape[-1]
+    kern = np.sum(y * (clamped - theta) - mu / theta, axis=-1) + y.shape[-1]
     return _Point(beta, excess, mu, theta, kern, np.count_nonzero(excess, axis=-1))
 
 
@@ -236,10 +247,11 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
     converged, n_iter, n_clamped (R,).  Row i is, bit for bit, what `fit`
     returns for member i, whichever members share the stack.  A singular
     member keeps NaN beta and fisher_info, converged False and zero n_iter
-    and n_clamped.
+    and n_clamped.  A member whose normal equations for the least-squares
+    start are flagged by the solve starts from beta = 0 and fits as usual.
     """
     X, counts = _checked(X, y, stacked=True)
-    R, _, k = X.shape
+    R, n, k = X.shape
     out = FittedModel(
         beta=np.full((R, k), np.nan),
         fisher_info=np.full((R, k, k), np.nan),
@@ -248,45 +260,43 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
         n_clamped=np.zeros(R, dtype=int),
     )
     m = _Members(X, counts.astype(float), np.arange(R), np.zeros(R, dtype=int))
-    # One SVD per member gives both numpy's matrix_rank test (the smallest
-    # singular value above max(n, k) * eps times the largest) and the
-    # least-squares start on log(y + 0.5), as lstsq computes it.
-    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
-    keep = sv[:, -1] > sv[:, 0] * max(X.shape[1:]) * np.finfo(float).eps
+    # numpy's matrix_rank rule: the smallest singular value must exceed
+    # max(n, k) * eps times the largest.
+    sv = np.linalg.svd(X, compute_uv=False)
+    keep = sv[:, -1] > sv[:, 0] * max(n, k) * np.finfo(float).eps
     if not keep.all():
-        m, U, sv, Vt = _take(m, keep), U[keep], sv[keep], Vt[keep]
-    coef = (np.log(m.y + 0.5)[:, None, :] @ U)[:, 0] / sv
-    cur = _evaluate(m.X, m.y, (coef[:, None, :] @ Vt)[:, 0])
+        m = _take(m, keep)
+    Xt = m.X.transpose(0, 2, 1)
+    start, ok = spd_solve_stack(Xt @ m.X, (Xt @ np.log(m.y + 0.5)[..., None])[..., 0])
+    cur = _evaluate(m.X, m.y, np.where(ok[:, None], start, 0.0))
     done = np.zeros(m.ids.size, dtype=bool)
     for n_iter in range(_MAX_ITER + 1):
-        Xt = m.X.transpose(0, 2, 1)
-        one_plus = 1.0 + cur.theta
-        v = cur.mu / one_plus
-        resid = (m.y - cur.mu) / one_plus
-        info = Xt @ (m.X * v[..., None])
         stop = done if n_iter < _MAX_ITER else np.ones_like(done)
         if stop.any():
-            ids = m.ids[stop]
+            ids, Xs = m.ids[stop], m.X[stop]
+            v = cur.mu[stop] / (1.0 + cur.theta[stop])
             out.beta[ids] = cur.beta[stop]
-            out.fisher_info[ids] = info[stop]
+            out.fisher_info[ids] = Xs.transpose(0, 2, 1) @ (Xs * v[..., None])
             out.converged[ids] = (done & (cur.clipped == 0))[stop]
             out.n_iter[ids] = n_iter
             out.n_clamped[ids] = m.n_clamped[stop]
-            keep = ~stop
-            m, cur = _take(m, keep), _take(cur, keep)
-            v, resid, info = v[keep], resid[keep], info[keep]
-            Xt = m.X.transpose(0, 2, 1)
+            m, cur = _take(m, ~stop), _take(cur, ~stop)
         if not m.ids.size:
             break
         if cur.clipped.any():
             m.n_clamped[:] += cur.clipped
             logger.debug("clamped %d linear predictors at |eta| = %g", cur.clipped.sum(), _ETA_BOUND)
-        # The IRLS target F^-1 X'V (clip(eta) + (y - mu)/mu) less beta, as
-        # F^-1 X'(V (clip(eta) - eta) + (y - mu)/(1 + theta)): beta cancels
-        # before the solve, so its roundoff cannot swamp a small step on a
-        # badly conditioned design, and zero-weight rows stay finite.
-        rhs = (Xt @ (v * cur.excess + resid)[..., None])[..., 0]
-        step, ok = spd_solve_stack(info, rhs)
+        one_plus = 1.0 + cur.theta
+        resid = (m.y - cur.mu) / one_plus
+        w = (cur.mu * (1.0 + cur.theta * one_plus) + m.y * cur.theta) / one_plus**3
+        Xt = m.X.transpose(0, 2, 1)
+        # The Newton target (X'WX)^-1 X'W (clip(eta) + s / w), with s =
+        # (y - mu)/(1 + theta) the score in eta, less beta, as
+        # (X'WX)^-1 X'(W (clip(eta) - eta) + s): beta cancels before the
+        # solve, so its roundoff cannot swamp a small step on a badly
+        # conditioned design, and rows of tiny weight stay finite.
+        rhs = (Xt @ (w * cur.excess + resid)[..., None])[..., 0]
+        step, ok = spd_solve_stack(Xt @ (m.X * w[..., None]), rhs)
         if not ok.all():
             m, cur, rhs, step = _take(m, ok), _take(cur, ok), rhs[ok], step[ok]
             if not m.ids.size:
@@ -300,19 +310,20 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
 
 
 def fit(data: Dataset) -> FittedModel:
-    """Fit by IRLS from a least-squares start on log(y + 0.5): `fit_many`
-    on a stack of one.
+    """Fit by Newton-Raphson from a least-squares start on log(y + 0.5):
+    `fit_many` on a stack of one.
 
     The linear predictor is clamped to [-30, 30] inside iterations (clamp
     events are counted and logged); a step that lowers the clamped kernel
     by more than roundoff is halved up to 10 times.  Convergence takes a
-    Newton decrement S' F^-1 S below 1e-12 at an iterate with no clamped
-    linear predictor, and no clamped linear predictor at the point that
-    iterate's step reaches, which is the one returned; a fit still running
-    after 100 iterations stops there.  Anything else,
-    including data with no finite MLE, returns converged=False rather than
-    raising.  A rank-deficient design or an information matrix that fails
-    the Cholesky solve raises SingularMatrixError.
+    Newton decrement S' (X'WX)^-1 S below 1e-12 at an iterate with no
+    clamped linear predictor, and no clamped linear predictor at the point
+    that iterate's step reaches, which is the one returned; a fit still
+    running after 100 iterations stops there.  Anything else, including
+    data with no finite MLE, returns converged=False rather than raising.
+    The returned fisher_info is the expected information X'VX at the
+    returned beta.  A rank-deficient design or an observed information
+    that fails the Cholesky solve raises SingularMatrixError.
     """
     fits = fit_many(data.X[None], data.y[None])
     if np.isnan(fits.beta[0]).any():

@@ -121,8 +121,9 @@ class SimResult:
     grid: tuple[GridPointResult, ...] = field(default_factory=tuple)
 
 
-def build_restriction(p: int, tau: float) -> LinearRestriction:
-    """The p x (p+1) restriction: intercept = tau, adjacent slopes equal."""
+def build_restriction(p: int, tau) -> LinearRestriction:
+    """The p x (p+1) restriction: intercept = tau, adjacent slopes equal.
+    A sequence of taus gives the family of these restrictions, h (T, p)."""
     if p < _MIN_JS_RESTRICTIONS:
         raise ValueError(f"build_restriction needs p >= {_MIN_JS_RESTRICTIONS}, got {p}")
     H = np.zeros((p, p + 1))
@@ -130,8 +131,9 @@ def build_restriction(p: int, tau: float) -> LinearRestriction:
     for i in range(1, p):
         H[i, i] = 1.0
         H[i, i + 1] = -1.0
-    h = np.zeros(p)
-    h[0] = float(tau)
+    tau = np.asarray(tau, dtype=float)
+    h = np.zeros(tau.shape + (p,))
+    h[..., 0] = tau
     return LinearRestriction(H, h)
 
 
@@ -148,11 +150,9 @@ def _draw(rngs, n: int, p: int, true_beta: np.ndarray) -> tuple[np.ndarray, np.n
     not depend on the others drawn with it."""
     X = np.empty((len(rngs), n, p + 1))
     X[..., 0] = 1.0
-    eta = np.empty((len(rngs), n))
-    for x, e, rng in zip(X, eta, rngs):
+    for x, rng in zip(X, rngs):
         x[:, 1:] = rng.standard_normal((n, p))
-        e[:] = x @ true_beta
-    theta = lambert_w0(np.exp(eta))
+    theta = lambert_w0(np.exp(X @ true_beta))
     y = np.stack([sample_counts(t, rng) for t, rng in zip(theta, rngs)])
     return X, y
 
@@ -185,26 +185,25 @@ class _SimDraw:
 
 def _replicate(job) -> tuple[np.ndarray, int]:
     """Fit every replication in reps once and compute its estimators under
-    each restriction in rests.
+    rest, one restriction or a family sharing H.
 
-    job = (draw, reps, rests, alpha, budget).  draw.stack(reps, attempt)
+    job = (draw, reps, rest, alpha, budget).  draw.stack(reps, attempt)
     gives the datasets of that attempt as arrays.  Each attempt round
     draws and fits every pending replication in stacks of at most
-    _STACK_ELEMENTS entries of X, and calls `estimate_many` once per
-    restriction on the converged rows of each stacked fit.  A replication
-    whose fit fails (no convergence, or a singular member's NaN row) or
-    whose projection fails under any restriction stays pending for
-    attempt + 1.  H F^-1 H' does not depend on h, so restrictions that
-    differ only in h fail together.  The round stops early once the
+    _STACK_ELEMENTS entries of X, and makes one `estimate_many` call on the
+    converged rows of each stacked fit.  A replication whose fit fails (no
+    convergence, or a singular member's NaN row) or whose projection fails
+    stays pending for attempt + 1.  The round stops early once the
     failures exceed budget; the caller reports that.
 
-    Returns (estimates, retries): estimates has shape
-    (len(reps), len(rests), 5, k) in ESTIMATOR_ORDER, NaN where r < 3
-    rules out the Stein estimators or a replication was left pending.
+    Returns (estimates, retries): estimates has the shape
+    (len(reps), 5, k), or (len(reps), T, 5, k) for a family of T, in
+    ESTIMATOR_ORDER, NaN where r < 3 rules out the Stein estimators or a
+    replication was left pending.
     """
-    draw, reps, rests, alpha, budget = job
-    k = rests[0].H.shape[1]
-    est = np.full((len(reps), len(rests), len(ESTIMATOR_ORDER), k), np.nan)
+    draw, reps, rest, alpha, budget = job
+    k = rest.H.shape[1]
+    est = np.full((len(reps), *rest.h.shape[:-1], len(ESTIMATOR_ORDER), k), np.nan)
     cap = max(1, _STACK_ELEMENTS // (draw.n_obs * k))
     pending = np.arange(len(reps))
     retries = 0
@@ -214,12 +213,12 @@ def _replicate(job) -> tuple[np.ndarray, int]:
             rows = pending[start : start + cap]
             fits = fit_many(*draw.stack([reps[row] for row in rows], attempt))
             fitted = np.flatnonzero(fits.converged)
-            beta, fisher = fits.beta[fitted], fits.fisher_info[fitted]
+            stack_est, _, solved = estimate_many(
+                fits.beta[fitted], fits.fisher_info[fitted], rest, alpha
+            )
+            est[rows[fitted]] = stack_est
             ok = fits.converged.copy()
-            for t, rest in enumerate(rests):
-                stack_est, _, solved = estimate_many(beta, fisher, rest, alpha)
-                est[rows[fitted], t] = stack_est
-                ok[fitted] &= solved
+            ok[fitted] = solved
             failed.append(rows[~ok])
         pending = np.concatenate(failed)
         retries += len(pending)
@@ -229,25 +228,6 @@ def _replicate(job) -> tuple[np.ndarray, int]:
         f"replication {reps[pending[0]]}{draw.where} failed "
         f"{_MAX_ATTEMPTS_PER_REP} consecutive attempts"
     )
-
-
-def _ratio_se(a: np.ndarray, b: np.ndarray) -> float:
-    """Delta-method standard error of mean(a)/mean(b) from paired samples;
-    exactly 0 when the samples are equal, so the ratio is 1 on every draw."""
-    if np.array_equal(a, b):
-        return 0.0
-    reps = a.size
-    if reps < 2:
-        return float("nan")
-    abar = float(a.mean())
-    bbar = float(b.mean())
-    cov = np.cov(a, b, ddof=1)
-    var = (
-        cov[0, 0] / bbar**2
-        - 2.0 * abar * cov[0, 1] / bbar**3
-        + abar**2 * cov[1, 1] / bbar**4
-    ) / reps
-    return float(np.sqrt(max(var, 0.0)))
 
 
 def _efficiency(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, dict, dict]:
@@ -264,9 +244,23 @@ def _efficiency(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, dict, d
 
 
 def _grid_point(cfg: SimConfig, tau: float, est: np.ndarray, retries: int) -> GridPointResult:
-    """The relative efficiencies at one tau from its estimates (reps, 5, k)."""
+    """The relative efficiencies at one tau from its estimates (reps, 5, k),
+    with delta-method standard errors of each SMSE(UN)/SMSE(est) from the
+    paired squared errors, all five from one covariance matrix.  An
+    estimator that equals UN on every replication has a ratio of 1 on every
+    draw and an SE of exactly 0; one replication leaves the others NaN."""
     errs, smse, sre = _efficiency(est, cfg.true_beta)
-    sre_se = {name: _ratio_se(errs[:, 0], errs[:, i]) for i, name in enumerate(ESTIMATOR_ORDER)}
+    reps = errs.shape[0]
+    mean = errs.mean(axis=0)
+    dev = errs - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = dev.T @ dev / (reps - 1)
+        un = mean[0]
+        var = (
+            cov[0, 0] / mean**2 - 2.0 * un * cov[0] / mean**3 + un**2 * np.diag(cov) / mean**4
+        ) / reps
+    se = np.where((errs == errs[:, :1]).all(axis=0), 0.0, np.sqrt(np.maximum(var, 0.0)))
+    sre_se = {name: float(value) for name, value in zip(ESTIMATOR_ORDER, se)}
     return GridPointResult(
         n=cfg.n, p=cfg.p, tau=tau, smse=smse, sre=sre, sre_se=sre_se, n_retry=retries
     )
@@ -277,16 +271,16 @@ def run_simulation(cfg: SimConfig, threads: int = 1) -> SimResult:
     replication; raises ConvergenceError if the design exceeds the
     failed-fit budget.  With threads > 1 a process pool runs the
     replications in chunks."""
-    rests = [build_restriction(cfg.p, tau) for tau in cfg.tau_grid]
+    rest = build_restriction(cfg.p, cfg.tau_grid)
     draw = _SimDraw(cfg.seed, cfg.n, cfg.p, cfg.true_beta)
     budget = _MAX_FAILURE_RATE * cfg.replications
     reps = list(range(cfg.replications))
     if threads <= 1 or cfg.replications < 2 * threads:
-        blocks = [_replicate((draw, reps, rests, cfg.alpha, budget))]
+        blocks = [_replicate((draw, reps, rest, cfg.alpha, budget))]
     else:
         chunks = [list(c) for c in np.array_split(reps, 4 * threads) if len(c)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            jobs = [(draw, c, rests, cfg.alpha, budget) for c in chunks]
+            jobs = [(draw, c, rest, cfg.alpha, budget) for c in chunks]
             blocks = list(pool.map(_replicate, jobs))
     # The chunks are consecutive and map keeps their order.
     est = np.concatenate([block_est for block_est, _ in blocks])

@@ -17,9 +17,10 @@ and its positive part clamps that factor at zero so the combination never
 overshoots past b_RE.
 
 `estimate_many` computes all five estimators for a stack of fits in one
-pass, and `compute_all` is its stack of one.  This module also decides
-which estimators exist: `ESTIMATOR_ORDER`, and r >= 3 for the James-Stein
-pair.
+pass, under one restriction or under every member of a family that shares
+H (the simulation's tau grid), and `compute_all` is its stack of one fit
+under one restriction.  This module also decides which estimators exist:
+`ESTIMATOR_ORDER`, and r >= 3 for the James-Stein pair.
 """
 
 from __future__ import annotations
@@ -80,21 +81,28 @@ def content_lines(path) -> list[tuple[int, str]]:
 
 @dataclass(frozen=True)
 class LinearRestriction:
-    """Linear constraint H beta = h with H full row rank, r <= k."""
+    """Linear constraint H beta = h with H full row rank, r <= k.  An h of
+    shape (T, r) makes a family of T restrictions that share H, one per row,
+    which `estimate_many` serves in one pass; `compute_all` takes one."""
 
     H: np.ndarray
     h: np.ndarray
 
     def __post_init__(self):
         H = np.ascontiguousarray(self.H, dtype=float)
-        h = np.asarray(self.h, dtype=float).reshape(-1)
+        h = np.asarray(self.h, dtype=float)
+        if h.ndim < 2:
+            h = h.reshape(-1)
         if H.ndim != 2:
             raise ValueError(f"H must be 2-d, got ndim={H.ndim}")
         r, k = H.shape
         if not (1 <= r <= k):
             raise ValueError(f"need 1 <= rows <= columns, got H shape {H.shape}")
-        if h.shape != (r,):
-            raise ValueError(f"h must have one entry per row of H, got shape {h.shape}")
+        if h.ndim > 2 or h.shape[-1:] != (r,):
+            raise ValueError(
+                f"h must have one entry per row of H, or one such row per member of "
+                f"a family, got shape {h.shape}"
+            )
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("restriction contains non-finite entries")
         if np.linalg.matrix_rank(H) != r:
@@ -168,15 +176,19 @@ def _critical_value(alpha: float, r: int) -> float:
 def estimate_many(
     beta: np.ndarray, fisher: np.ndarray, rest: LinearRestriction, alpha: float = 0.05
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All five estimators for a stack of fits: beta (m, k), fisher (m, k, k).
+    """All five estimators for a stack of fits, beta (m, k) and fisher
+    (m, k, k), under one restriction (h of shape (r,)) or under each of a
+    family sharing H (h of shape (T, r)).
 
-    Returns (est, f_stat, ok): est (m, 5, k) in ESTIMATOR_ORDER, the Wald
-    statistics (m,), and ok (m,), False for a member whose information
-    matrix or H F^-1 H' fails the solve; its rows are NaN.  JSE and PJSE
-    are NaN when r < 3.  An exactly-satisfied restriction (f_stat = 0)
-    makes both the restricted estimator, and a tie at the pretest's
-    critical value keeps UN.  Each member's values are bit for bit those
-    of `compute_all` on it alone.
+    Returns (est, f_stat, ok): est (m, 5, k), or (m, T, 5, k) for a family,
+    in ESTIMATOR_ORDER; the Wald statistics (m,) or (m, T); and ok (m,),
+    False for a member whose information matrix or H F^-1 H' fails the
+    solve; its rows are NaN.  JSE and PJSE are NaN when r < 3.  An
+    exactly-satisfied restriction (f_stat = 0) makes both the restricted
+    estimator, and a tie at the pretest's critical value keeps UN.  F^-1 H'
+    is solved once per member, and every (member, h) pair is one row of
+    the batched solve of H F^-1 H', so each member's values under each h
+    are bit for bit those of `compute_all` on that member and h alone.
     """
     H, h = rest.H, rest.h
     beta = np.asarray(beta, dtype=float)
@@ -187,11 +199,15 @@ def estimate_many(
         )
     r = rest.n_restrictions
     crit = _critical_value(alpha, r)
-    # F^-1 H' and y = (H F^-1 H')^-1 (H b - h), one batched solve each
+    family = h.shape[:-1]
+    T = h.size // r
+    # F^-1 H' once per member; then y = (H F^-1 H')^-1 (H b - h) with the
+    # (member, h) pairs in the batch axis, as (m T, r, r) against (m T, r)
     finv_ht, ok = spd_solve_stack(fisher, np.broadcast_to(H.T, (m, k, r)))
-    gap = (H @ beta[..., None])[..., 0] - h
-    y, solved = spd_solve_stack(H @ finv_ht, gap)
-    ok &= solved
+    gap = ((H @ beta[..., None])[:, None, :, 0] - h.reshape(T, r)).reshape(m * T, r)
+    y, solved = spd_solve_stack(np.repeat(H @ finv_ht, T, axis=0), gap)
+    finv_ht, beta = np.repeat(finv_ht, T, axis=0), np.repeat(beta, T, axis=0)
+    ok = np.repeat(ok, T) & solved
     re = np.where(ok[:, None], beta - (finv_ht @ y[..., None])[..., 0], np.nan)
     f_stat = np.where(ok, np.maximum(0.0, (gap[:, None, :] @ y[..., None])[:, 0, 0]), np.nan)
     un = np.where(ok[:, None], beta, np.nan)
@@ -205,7 +221,13 @@ def estimate_many(
         jse = np.where(exact, re, jse)
     else:
         jse = pjse = np.full_like(re, np.nan)
-    return np.stack([un, re, jse, pjse, pte], axis=1), f_stat, ok
+    est = np.stack([un, re, jse, pjse, pte], axis=1)
+    # H F^-1 H' does not depend on h, so a member's pairs fail together
+    return (
+        est.reshape(m, *family, len(ESTIMATOR_ORDER), k),
+        f_stat.reshape(m, *family),
+        ok.reshape(m, T).all(axis=1),
+    )
 
 
 def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05) -> EstimatorSet:
@@ -213,7 +235,10 @@ def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05
 
     jse/pjse are None when r < 3, and an exactly-satisfied restriction
     (f_stat = 0) short-circuits both to the restricted estimator.  Raises
-    SingularMatrixError where `estimate_many` flags the member."""
+    SingularMatrixError where `estimate_many` flags the member, and
+    ValueError for a family of restrictions."""
+    if rest.h.ndim != 1:
+        raise ValueError("compute_all takes one restriction; estimate_many serves a family")
     est, f_stat, ok = estimate_many(model.beta[None], model.fisher_info[None], rest, alpha)
     if not ok[0]:
         raise SingularMatrixError(

@@ -8,8 +8,10 @@ ingestion via `csv.DictReader` and one `float()` per cell, and Bell draws
 by inverting the cumulative pmf.  `quad_form` and `lr_statistic` are small
 compositions of package functions that only the tests use.  `score` and
 `fisher_information` write out the Bell score and expected information of
-one dataset apart from the batched IRLS of `fit_many`, so tests can check
-the Newton decrement S' F^-1 S at the points it returns.
+one dataset apart from the batched Newton engine of `fit_many`, so tests can
+check the decrement S' F^-1 S at the points it returns, and `newton_mle`
+runs a plain Newton-Raphson for a fixed number of iterations, so tests can
+check that those points are the optimum.
 
 Three references keep an earlier, plainer form of a package routine that
 was rewritten for speed with the same arithmetic: `ztp_rejection_masked`,
@@ -294,6 +296,45 @@ def fisher_information(beta, data):
     theta = lambert_w0(mu)
     v = mu / (1.0 + theta)
     return data.X.T @ (data.X * v[:, None])
+
+
+def newton_mle(X, y, n_iter=60):
+    """Maximum-likelihood beta of each dataset of a stack, X (R, n, k) and
+    y (R, n), by Newton-Raphson on the observed information X'WX, with
+
+        w = [mu (1 + theta + theta**2) + y theta] / (1 + theta)**3,
+
+    from the least-squares start on log(y + 0.5), for a fixed n_iter
+    iterations and with no clamp on the linear predictor.  A step that
+    lowers the log-likelihood kernel by more than 1e-9 (1 + |kernel|) is
+    halved, up to 30 times."""
+    from bellshrink.special_fn import lambert_w0
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def at(beta):
+        with np.errstate(over="ignore"):
+            mu = np.exp(np.einsum("rnk,rk->rn", X, beta))
+        theta = lambert_w0(mu)
+        return np.sum(y * np.log(theta) - np.exp(theta), axis=-1), mu, theta
+
+    beta = np.stack([np.linalg.lstsq(x, np.log(v + 0.5), rcond=None)[0] for x, v in zip(X, y)])
+    kern, mu, theta = at(beta)
+    for _ in range(n_iter):
+        one_plus = 1.0 + theta
+        w = (mu * (1.0 + theta + theta**2) + y * theta) / one_plus**3
+        s = np.einsum("rnk,rn->rk", X, (y - mu) / one_plus)
+        step = np.linalg.solve(np.einsum("rnk,rn,rnj->rkj", X, w, X), s[..., None])[..., 0]
+        floor = kern - 1e-9 * (1.0 + np.abs(kern))
+        for _ in range(30):
+            new_kern, new_mu, new_theta = at(beta + step)
+            worse = ~(new_kern >= floor)
+            if not worse.any():
+                break
+            step[worse] /= 2.0
+        beta, kern, mu, theta = beta + step, new_kern, new_mu, new_theta
+    return beta
 
 
 def per_member_estimators(model, rest, alpha):

@@ -104,11 +104,15 @@ def test_stacked_draw_equals_per_replication_draw_bitwise():
 def test_ratio_se_is_exactly_zero_for_equal_losses():
     # PTE equals UN on every replication where the pretest always rejects;
     # the ratio is then 1 on every draw and has no Monte Carlo error
+    cfg = small_config()
+    truth = cfg.true_beta
     for seed in range(200):
-        a = np.random.default_rng(seed).gamma(0.5, 0.1, 1000)
-        assert mc._ratio_se(a, a.copy()) == 0.0
-    a, b = np.random.default_rng(0).gamma(0.5, 0.1, (2, 1000))
-    assert mc._ratio_se(a, b) > 0.0
+        est = truth + np.random.default_rng(seed).normal(0.0, 0.3, (1000, 5, truth.size))
+        est[:, 4] = est[:, 0]
+        point = mc._grid_point(cfg, 0.0, est, 0)
+        assert point.sre_se["UN"] == 0.0 and point.sre_se["PTE"] == 0.0
+        assert point.sre["PTE"] == 1.0
+        assert all(point.sre_se[name] > 0.0 for name in ("RE", "JSE", "PJSE"))
 
 
 # ------------------------------------------------------------ simulation core
@@ -197,6 +201,30 @@ def test_one_fit_per_replication_attempt_whatever_the_tau_grid(monkeypatch, taus
     assert grid[0].n_retry > 0
     assert {point.n_retry for point in grid} == {grid[0].n_retry}
     assert sum(members) == cfg.replications + grid[0].n_retry
+
+
+@pytest.mark.parametrize("taus", [(0.0,), (0.0, 0.5, 1.0)])
+def test_one_estimator_call_per_fitted_stack_whatever_the_tau_grid(monkeypatch, taus):
+    real_fit_many, real_estimate_many = failing_some(mc.fit_many), mc.estimate_many
+    calls = []
+
+    def counting_fit_many(X, y):
+        calls.append("fit")
+        return real_fit_many(X, y)
+
+    def counting_estimate_many(beta, fisher, rest, alpha):
+        calls.append("estimate")
+        return real_estimate_many(beta, fisher, rest, alpha)
+
+    monkeypatch.setattr(mc, "fit_many", counting_fit_many)
+    monkeypatch.setattr(mc, "estimate_many", counting_estimate_many)
+    cfg = small_config(n=20, p=6, tau_grid=taus, replications=60, seed=4)
+    monkeypatch.setattr(mc, "_STACK_ELEMENTS", 7 * cfg.n * (cfg.p + 1))
+    grid = run_simulation(cfg).grid
+    assert grid[0].n_retry > 0
+    # nine stacks of at most 7 on the first attempt, then the retries
+    assert calls.count("fit") > 9
+    assert calls == ["fit", "estimate"] * calls.count("fit")
 
 
 def test_run_simulation_basic_structure():
@@ -295,14 +323,14 @@ def test_singular_member_is_a_nan_row_and_its_replication_is_redrawn():
     for i in others:
         np.testing.assert_array_equal(fits.beta[i], fit(Dataset(X[i], y[i])).beta)
     rest = build_restriction(3, 0.0)
-    est, retries = mc._replicate((draw, reps, [rest], 0.05, 5))
+    est, retries = mc._replicate((draw, reps, rest, 0.05, 5))
     assert retries == 1
     assert np.isfinite(est).all()
     first, _, _ = estimate_many(fits.beta[others], fits.fisher_info[others], rest)
-    np.testing.assert_array_equal(est[others, 0], first)
+    np.testing.assert_array_equal(est[others], first)
     redrawn = fit_many(*draw.stack([2], 1))
     second, _, _ = estimate_many(redrawn.beta, redrawn.fisher_info, rest)
-    np.testing.assert_array_equal(est[[2], 0], second)
+    np.testing.assert_array_equal(est[[2]], second)
 
 
 # -------------------------------------------------------------------- output

@@ -281,6 +281,32 @@ def test_estimate_many_equals_per_member_estimators_bitwise(r):
     assert (f_stat <= max(r - 2, 0)).any() or r < 3
 
 
+def test_family_of_restrictions_equals_each_restriction_alone_bitwise():
+    rng = np.random.default_rng(SEED + 34)
+    k, r, T = 6, 3, 4
+    H = rng.standard_normal((r, k))
+    hs = rng.standard_normal((T, r))
+    hs[1] = H @ np.ones(k)  # an exactly satisfied member of the family
+    models = [random_problem(k, r, rng)[0] for _ in range(5)]
+    models[2] = synthetic_model(np.ones(k), models[2].fisher_info)
+    models[3] = synthetic_model(models[3].beta, -np.eye(k))  # flagged
+    beta = np.stack([m.beta for m in models])
+    fisher = np.stack([m.fisher_info for m in models])
+    est, f_stat, ok = estimate_many(beta, fisher, LinearRestriction(H, hs))
+    assert est.shape == (5, T, len(ESTIMATOR_ORDER), k) and f_stat.shape == (5, T)
+    np.testing.assert_array_equal(ok, [True, True, True, False, True])
+    for t in range(T):
+        one, one_f, one_ok = estimate_many(beta, fisher, LinearRestriction(H, hs[t]))
+        np.testing.assert_array_equal(est[:, t], one)
+        np.testing.assert_array_equal(f_stat[:, t], one_f)
+        np.testing.assert_array_equal(ok, one_ok)
+    assert f_stat[2, 1] == 0.0
+    with pytest.raises(ValueError, match="one restriction"):
+        compute_all(models[0], LinearRestriction(H, hs))
+    with pytest.raises(ValueError, match="one entry per row"):
+        LinearRestriction(H, rng.standard_normal((T, r + 1)))
+
+
 def test_estimate_many_short_circuits_exact_restriction():
     rng = np.random.default_rng(SEED + 30)
     model, _ = random_problem(6, 3, rng)
