@@ -102,9 +102,10 @@ def _parse_count(token: str, where: str) -> None:
 
 def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None:
     """Walk the rows of a file whose header is known to be good and raise
-    the DataFormatError of the first cell that numpy's float syntax or the
-    count rules reject, naming path:line; return if there is none.  Runs
-    only after the one-pass read has failed, to say where."""
+    the DataFormatError of the first cell that numpy's float syntax, the
+    count rules or finite covariates reject, naming path:line; return if
+    there is none.  Runs only after the one-pass read has failed, to say
+    where."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for record in reader:
@@ -116,11 +117,13 @@ def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None
             for col in covariate_columns:
                 raw = record.get(col)
                 try:
-                    _numpy_float(raw or "")
+                    val = _numpy_float(raw or "")
                 except ValueError:
                     raise DataFormatError(
                         f"{where}: covariate {col!r} value {raw!r} is not a number"
                     ) from None
+                if not np.isfinite(val):
+                    raise DataFormatError(f"{where}: covariate {col!r} value {raw!r} is not finite")
 
 
 def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset, DataSummary]:
@@ -133,12 +136,14 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     columns not asked for are ignored, and a name that appears twice in
     the header refers to its last column.  Cells are read in numpy's float
     syntax: what `float()` reads except digit separators (`1_0`) and
-    non-ASCII digits.  The response must hold non-negative integer counts.
-    A bad cell raises DataFormatError naming `path:line` of its row, and a
-    file that is not UTF-8 one naming the path.
+    non-ASCII digits.  The response must hold non-negative integer counts,
+    and the covariates finite numbers.  A bad cell raises DataFormatError
+    naming `path:line` of its row, and a file that is not UTF-8 one naming
+    the path.
 
-    The numbers come from one `np.loadtxt` pass; only when it or the count
-    check fails is the file walked row by row to find the line to report.
+    The numbers come from one `np.loadtxt` pass; only when it, the count
+    check or the finiteness check fails is the file walked row by row to
+    find the line to report.
     """
     covariate_columns = tuple(covariate_columns)
     if not covariate_columns:
@@ -172,7 +177,8 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
     if not table.shape[0]:
         raise DataFormatError(f"{path}: no data rows")
     y = table[:, 0]
-    if not np.all(np.isfinite(y) & (y >= 0) & (np.floor(y) == y) & (y < 2.0**63)):
+    counts = np.isfinite(y) & (y >= 0) & (np.floor(y) == y) & (y < 2.0**63)
+    if not (counts.all() and np.isfinite(table[:, 1:]).all()):
         _raise_first_bad_cell(path, response_column, covariate_columns)
         raise DataFormatError(f"{path}: response counts must be integers in [0, 2**63)")
     y = y.astype(np.int64)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .special_fn import lambert_w0, log_bell_many
 
@@ -91,16 +91,15 @@ def log_pmf(y, param: BellParam):
     scalar = ya.ndim == 0
     if ya.size and (np.any(ya < 0) or not np.all(np.equal(np.mod(ya, 1), 0))):
         raise ValueError("Bell support is the nonnegative integers")
-    ya = ya.astype(np.int64, copy=False)
-    val = (
-        ya * np.log(param.theta)
-        + (1.0 - np.exp(param.theta))
-        + log_bell_many(ya)
-        - gammaln(ya + 1.0)
-    )
+    val = _log_pmf(ya.astype(np.int64, copy=False), param.theta)
     if scalar:
         return float(val)
     return val
+
+
+def _log_pmf(y: np.ndarray, theta):
+    """Log pmf of int64 counts y at theta, a scalar or one theta per count."""
+    return xlogy(y, theta) + (1.0 - np.exp(theta)) + log_bell_many(y) - gammaln(y + 1.0)
 
 
 def pmf(y, param: BellParam):

@@ -58,10 +58,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
+from .bell_dist import _log_pmf
 from .linalg import SingularMatrixError, spd_solve_stack
-from .special_fn import lambert_w0, log_bell_many
+from .special_fn import lambert_w0
 
 __all__ = [
     "Dataset",
@@ -154,30 +154,15 @@ def _linear_predictor(beta: np.ndarray, data: Dataset) -> np.ndarray:
     return eta
 
 
-def _kernel(eta: np.ndarray, y: np.ndarray) -> float:
-    """sum_i [ y_i log theta_i - exp(theta_i) + 1 ] at theta = W(exp(eta))."""
+def loglik(beta, data: Dataset) -> float:
+    """Full Bell log-likelihood at beta: `bell_dist`'s log pmf summed over
+    the rows, -inf where exp(x_i' beta) overflows."""
+    eta = _linear_predictor(beta, data)
     with np.errstate(over="ignore"):
         mu = np.exp(eta)
     if not np.all(np.isfinite(mu)):
         return float("-inf")
-    theta = lambert_w0(mu)
-    with np.errstate(divide="ignore"):
-        log_theta = np.log(theta)
-    contrib = np.where(y > 0, y * log_theta, 0.0)
-    return float(np.sum(contrib) - np.sum(np.exp(theta)) + y.size)
-
-
-def _bell_constant(y: np.ndarray) -> float:
-    """sum_i log(B_{y_i} / y_i!), summed over the distinct counts in
-    ascending order, each term weighted by how often its count occurs."""
-    vals, counts = np.unique(y, return_counts=True)
-    return float(np.sum(counts * (log_bell_many(vals) - gammaln(vals + 1.0))))
-
-
-def loglik(beta, data: Dataset) -> float:
-    """Full Bell log-likelihood at beta (Bell-number constants included)."""
-    eta = _linear_predictor(beta, data)
-    return _kernel(eta, data.y) + _bell_constant(data.y)
+    return float(np.sum(_log_pmf(data.y, lambert_w0(mu))))
 
 
 def _take(parts, rows):
@@ -322,8 +307,9 @@ def fit(data: Dataset) -> FittedModel:
     running after 100 iterations stops there.  Anything else, including
     data with no finite MLE, returns converged=False rather than raising.
     The returned fisher_info is the expected information X'VX at the
-    returned beta.  A rank-deficient design or an observed information
-    that fails the Cholesky solve raises SingularMatrixError.
+    returned beta.  A rank-deficient design, or an observed information
+    that fails the Cholesky test or the LU solve, raises
+    SingularMatrixError.
     """
     fits = fit_many(data.X[None], data.y[None])
     if np.isnan(fits.beta[0]).any():

@@ -2,13 +2,12 @@
 
 `spd_solve_stack` solves a stack of small systems with one Cholesky over
 the stack, which tests definiteness, and one LU solve (np.linalg.solve).
-Only if either raises are the members walked, to find the failing ones:
-each gets one retry with 1e-10 * trace/dim added to its diagonal, and one
-that fails both, or is non-finite or not symmetric, is flagged and replaced
-by the identity before the one batched solve.  So a member's bits never
-depend on its neighbours, and LinAlgError never leaves this module.
-`spd_solve` and `spd_inverse`, the stack of one, raise SingularMatrixError
-for a flagged member.
+Only if a member is non-finite or not symmetric, or either call raises,
+are the members walked: each is solved alone by the same two calls, which
+run the same LAPACK routines on it and so give the same bits, or flagged
+with a NaN solution.  So a member's bits never depend on its neighbours,
+and LinAlgError never leaves this module.  `spd_solve` and `spd_inverse`,
+the stack of one, raise SingularMatrixError for a flagged member.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "spd_solve_stack",
 ]
 
-_JITTER_SCALE = 1e-10
 _SYM_RTOL = 1e-8
 
 
@@ -38,23 +36,23 @@ def _symmetric_finite(a: np.ndarray) -> np.ndarray:
     return np.isfinite(scale) & (asym <= _SYM_RTOL * np.maximum(1.0, scale))
 
 
-def _solvable(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether one member passes the Cholesky test and the LU solve."""
+def _solution(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One member's solution by the batched pass's two calls, the Cholesky
+    test and the LU solve, or None if either raises."""
     try:
         np.linalg.cholesky(a)
-        np.linalg.solve(a, b)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
 
 
 def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a[i] x[i] = b[i] for a stack of SPD matrices (m, k, k) and
     right-hand sides (m, k) or (m, k, r).
 
-    Returns (x, ok): ok[i] is False for a member that is not symmetric
-    positive definite after the jitter retry, or whose a[i] or b[i] is not
-    finite, and x[i] is then meaningless.  A member's solution and its
+    Returns (x, ok): ok[i] is False, and x[i] NaN, for a member that fails
+    the Cholesky test or the LU solve, or whose a[i] is not finite and
+    symmetric or whose b[i] is not finite.  A member's solution and its
     flag are the same, bit for bit, whatever else shares its stack.
     """
     a = np.asarray(a, dtype=float)
@@ -62,21 +60,14 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     vector = b.ndim == a.ndim - 1
     rhs = b[..., None] if vector else b
     ok = _symmetric_finite(a) & np.isfinite(rhs).all(axis=(-2, -1))
-    eye = np.eye(a.shape[-1])
-    if not ok.all():
-        a = np.where(ok[:, None, None], a, eye)
-    try:
-        np.linalg.cholesky(a)
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        a = a.copy()
+    x = _solution(a, rhs) if ok.all() else None
+    if x is None:
+        x = np.full(rhs.shape, np.nan)
         for i in np.flatnonzero(ok):
-            if _solvable(a[i], rhs[i]):
-                continue
-            jittered = a[i] + _JITTER_SCALE * np.trace(a[i]) / len(eye) * eye
-            ok[i] = _solvable(jittered, rhs[i])
-            a[i] = jittered if ok[i] else eye
-        x = np.linalg.solve(a, rhs)
+            xi = _solution(a[i], rhs[i])
+            ok[i] = xi is not None
+            if ok[i]:
+                x[i] = xi
     return (x[..., 0] if vector else x), ok
 
 

@@ -25,7 +25,6 @@ under one restriction.  This module also decides which estimators exist:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +161,8 @@ class EstimatorSet:
     f_stat: float
 
 
-@functools.lru_cache(maxsize=64)
 def _critical_value(alpha: float, r: int) -> float:
-    """The chi-square(r) upper-alpha critical value of the pretest, computed
-    once per (alpha, r); the errors are raised on every call."""
+    """The chi-square(r) upper-alpha critical value of the pretest."""
     if alpha is None:
         raise ValueError("the pretest estimator needs a test level alpha")
     if not 0.0 < alpha < 1.0:
@@ -208,8 +205,9 @@ def estimate_many(
     y, solved = spd_solve_stack(np.repeat(H @ finv_ht, T, axis=0), gap)
     finv_ht, beta = np.repeat(finv_ht, T, axis=0), np.repeat(beta, T, axis=0)
     ok = np.repeat(ok, T) & solved
-    re = np.where(ok[:, None], beta - (finv_ht @ y[..., None])[..., 0], np.nan)
-    f_stat = np.where(ok, np.maximum(0.0, (gap[:, None, :] @ y[..., None])[:, 0, 0]), np.nan)
+    # a flagged solve is NaN, and so are the RE and Wald values built on it
+    re = beta - (finv_ht @ y[..., None])[..., 0]
+    f_stat = np.maximum(0.0, (gap[:, None, :] @ y[..., None])[:, 0, 0])
     un = np.where(ok[:, None], beta, np.nan)
     pte = np.where((f_stat < crit)[:, None], re, un)
     if r >= _MIN_JS_RESTRICTIONS:

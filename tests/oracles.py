@@ -216,6 +216,8 @@ def load_dataset_rowwise(path, response_column, covariate_columns):
                     raise DataFormatError(
                         f"{where}: covariate {col!r} value {raw!r} is not a number"
                     ) from None
+                if not np.isfinite(vals[-1]):
+                    raise DataFormatError(f"{where}: covariate {col!r} value {raw!r} is not finite")
             rows.append(vals)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")

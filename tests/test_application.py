@@ -197,6 +197,8 @@ BAD_ROWS = {
     "empty response": ",0.5",
     "short row": "2",
     "non-numeric covariate": "2,oops",
+    "infinite covariate": "2,inf",
+    "negative infinite covariate": "2,-inf",
 }
 
 

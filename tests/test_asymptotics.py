@@ -259,7 +259,6 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
     for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse"):
         monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
     monkeypatch.setattr(shrinkage, "gammaincinv", counting("ppf", shrinkage.gammaincinv))
-    shrinkage._critical_value.cache_clear()
     for sweep in ("a.csv", "b.csv"):  # two calls at the same (alpha, r)
         _theory_sweep(tmp_path, 6, 4, SEED, name=sweep)
     names = ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment")
@@ -269,7 +268,7 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
     assert ncx2 == 2 * 12 * len(SWEEP_DELTAS)
     # each quantity in one call per sweep, for the whole grid
     assert sum(calls[name] for name in names) == 2 * 12
-    assert calls["ppf"] == 1
+    assert calls["ppf"] == 2 * 2  # the PTE bias and AMSE of each sweep
     assert calls["spd_inverse"] == 2  # one geometry per call
 
 

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
-from bellshrink import bell_glm, special_fn
+from bellshrink import bell_dist, bell_glm, special_fn
 from bellshrink.bell_dist import BellParam, log_pmf
 from bellshrink.bell_glm import (
     Dataset,
     FittedModel,
-    _bell_constant,
     aic,
     fit,
     fit_many,
@@ -22,7 +20,7 @@ from bellshrink.bell_glm import (
 from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.application import _ResampleDraw
 from bellshrink.montecarlo import _SimDraw, generate_dataset
-from bellshrink.special_fn import log_bell, log_bell_many
+from bellshrink.special_fn import log_bell_many
 from oracles import build_design, fisher_information, newton_mle, score, simulate_dataset
 
 SEED = 90210
@@ -38,24 +36,6 @@ def test_dataset_validation():
         Dataset(X=X, y=np.array([1, 0, 2, -1, 1]))
     with pytest.raises(ValueError):
         Dataset(X=X[:2], y=y[:2])  # n must exceed p+1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    y=st.lists(
-        st.one_of(st.integers(0, 40), st.integers(0, 600), st.integers(500, 2000)),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_bell_constant_equals_per_value_sum_bitwise(y):
-    # The sum of log B(y_i) - log y_i! over distinct counts, one log_bell
-    # call per count: the same terms in the same order give the same bits.
-    y = np.array(y, dtype=np.int64)
-    vals, counts = np.unique(y, return_counts=True)
-    lb = np.array([log_bell(int(v)) for v in vals])
-    assert _bell_constant(y) == float(np.sum(counts * (lb - gammaln(vals + 1.0))))
-    np.testing.assert_array_equal(log_bell_many(vals), lb)
 
 
 def test_log_bell_many_rejects_negative_or_fractional_input():
@@ -400,7 +380,7 @@ def test_fit_many_evaluates_no_bell_number(monkeypatch):
     def refuse(*args):
         raise AssertionError("the fit evaluated a Bell number")
 
-    monkeypatch.setattr(bell_glm, "log_bell_many", refuse)
+    monkeypatch.setattr(bell_dist, "log_bell_many", refuse)
     monkeypatch.setattr(special_fn, "log_bell", refuse)
     rng = np.random.default_rng(SEED + 22)
     X = np.stack([build_design(80, 2, rng) for _ in range(4)])

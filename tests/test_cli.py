@@ -422,6 +422,15 @@ def test_bad_count_data_is_numerical_error(tmp_path):
     assert proc.stderr.startswith("error: data:")
 
 
+def test_non_finite_covariate_is_data_error_naming_its_line(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("y,x\n3,1.0\n2,nan\n1,2\n4,3\n0,1\n")
+    proc = run_cli("fit", "--data", str(path), "--response", "y", "--covariates", "x")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: data: {path}:3: covariate 'x' value 'nan' is not finite\n"
+    assert proc.stdout == ""
+
+
 def test_data_file_not_utf8_is_data_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"y,x1\n1,0.5\xff\n2,0.1\n")

@@ -76,8 +76,8 @@ def test_error_message_names_failure():
         spd_solve(A, np.eye(3))
 
 
-def test_jitter_rescues_marginally_singular_matrix():
-    # trace-scaled jitter makes the second factorization attempt succeed
+def test_tiny_positive_pivot_solves():
+    # 1e-18 is a positive pivot: Cholesky passes and the solve is finite
     A = np.diag([1.0, 1e-18])
     X = spd_solve(A, np.eye(2))
     assert np.all(np.isfinite(X))
@@ -94,8 +94,8 @@ def test_solve_residual_property(k, seed):
 
 
 def test_stack_follows_spd_solve_member_by_member():
-    # Each member is solved, rescued by jitter, or flagged exactly where
-    # spd_solve returns the same bits, rescues, or raises.
+    # Each member is solved, or flagged with a NaN solution, exactly where
+    # spd_solve returns the same bits or raises.
     rng = np.random.default_rng(3024)
     psd_singular = np.zeros((3, 3))
     psd_singular[:2, :2] = 1.0
@@ -110,7 +110,8 @@ def test_stack_follows_spd_solve_member_by_member():
     ])
     b = rng.standard_normal((6, 3))
     x, ok = spd_solve_stack(a, b)
-    assert ok.tolist() == [True, False, True, False, False, True]
+    assert ok.tolist() == [True, False, False, False, False, True]
+    assert np.isnan(x[~ok]).all()
     for i in np.flatnonzero(ok):
         np.testing.assert_array_equal(x[i], spd_solve(a[i], b[i]))
     for i in np.flatnonzero(~ok):
@@ -127,9 +128,10 @@ _LU_ZERO_PIVOT = np.array([[0.31559482297027575, 1.0], [1.0, 3.168619784660361]]
 def test_stack_members_keep_their_bits_beside_failing_members(rhs_cols):
     # Good members give the same bits in an all-good stack (one batched
     # Cholesky and solve) as beside members that need the per-member walk:
-    # one rescued by jitter after a failed Cholesky, one after a failed LU
-    # solve, an indefinite one, a NaN one, a singular one that is not
-    # symmetric and one with an infinite entry.  No LinAlgError escapes.
+    # a singular PSD one that fails Cholesky, one that fails the LU solve,
+    # an indefinite one, a NaN one, a singular one that is not symmetric
+    # and one with an infinite entry.  Each is flagged with a NaN solution,
+    # and no LinAlgError escapes.
     rng = np.random.default_rng(3025)
     k = 4
     good = np.stack([random_spd(k, rng) for _ in range(5)])
@@ -158,19 +160,20 @@ def test_stack_members_keep_their_bits_beside_failing_members(rhs_cols):
     b_bad = rng.standard_normal((6, *shape))
     b = np.concatenate([b_good, b_bad])[[0, 5, 1, 6, 2, 7, 3, 8, 4, 9, 10]]
     x, ok = spd_solve_stack(a, b)
-    assert ok.tolist() == [True, True, True, True, True, False, True, False, True, False, False]
+    assert ok.tolist() == [True, False, True, False, True, False, True, False, True, False, False]
+    assert np.isnan(x[~ok]).all()
     np.testing.assert_array_equal(x[[0, 2, 4, 6, 8]], x_good)
-    for i in (1, 3):  # the jitter-rescued members solve their jittered systems
-        assert np.abs(a[i] @ x[i] - b[i]).max() < 1e-6 * np.abs(x[i]).max()
     # the LU failure alone, after a Cholesky of the whole stack that passed
     x, ok = spd_solve_stack(np.stack([good[0], lu_zero_pivot]), b[[0, 3]])
-    assert ok.all()
+    assert ok.tolist() == [True, False]
+    assert np.isnan(x[1]).all()
     np.testing.assert_array_equal(x[0], x_good[0])
     # a stack of failures only, and the unsymmetric singular member beside a
-    # good one: its lower triangle passes Cholesky, so only its replacement
-    # by the identity keeps the batched solve from raising
-    x, ok = spd_solve_stack(np.stack(bad[2:]), b[[5, 7, 9, 10]])
+    # good one: its lower triangle passes Cholesky, so only the symmetry
+    # check flags it
+    x, ok = spd_solve_stack(np.stack(bad), b[[1, 3, 5, 7, 9, 10]])
     assert not ok.any()
+    assert np.isnan(x).all()
     x, ok = spd_solve_stack(np.stack([good[0], asym_singular]), b[[0, 9]])
     assert ok.tolist() == [True, False]
     np.testing.assert_array_equal(x[0], x_good[0])
@@ -186,3 +189,53 @@ def test_stack_flags_non_finite_right_hand_side():
     np.testing.assert_array_equal(x[0], spd_solve(a[0], b[0]))
     with pytest.raises(ValueError, match="right-hand side"):
         spd_solve(a[1], b[1])
+
+
+def _bad_member(kind, k, rng):
+    """A k x k matrix that spd_solve_stack must flag ("asymmetric" needs
+    k >= 2).  The singular PSD ones meet an exact zero Cholesky pivot."""
+    a = random_spd(k, rng)
+    i, j = rng.choice(k, size=2, replace=k < 2)
+    if kind == "singular PSD" and k > 1 and rng.integers(2):
+        # the identity with an all-c block, c a power of 4
+        a = np.eye(k)
+        block = rng.choice(k, size=rng.integers(2, k + 1), replace=False)
+        a[np.ix_(block, block)] = 4.0 ** rng.integers(-3, 4)
+    elif kind == "singular PSD":
+        a[i, :] = a[:, i] = 0.0
+    elif kind == "indefinite":
+        a[i, i] = -a[i, i]
+    elif kind == "asymmetric":
+        a[i, j] += 1.0
+    else:
+        a[i, j] = np.nan if kind == "NaN" else np.inf
+    return a
+
+
+_BAD_KINDS = ["indefinite", "singular PSD", "asymmetric", "NaN", "inf"]
+
+
+@given(
+    k=st.integers(1, 13),
+    cols=st.sampled_from([None, 1, 3]),
+    kinds=st.lists(st.sampled_from([None, *_BAD_KINDS]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=80, deadline=None)
+def test_flagged_members_are_nan_and_good_members_keep_their_bits(k, cols, kinds, seed):
+    # None marks a good member.  The bad ones are flagged with a NaN
+    # solution, and the good ones equal an all-good stack of them alone,
+    # bit for bit.
+    if k == 1:
+        kinds = [kind for kind in kinds if kind != "asymmetric"] or [None]
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_spd(k, rng) if kind is None else _bad_member(kind, k, rng)
+                  for kind in kinds])
+    b = rng.standard_normal((len(kinds), k) if cols is None else (len(kinds), k, cols))
+    good = np.array([kind is None for kind in kinds])
+    x, ok = spd_solve_stack(a, b)
+    assert ok.tolist() == good.tolist()
+    assert np.isnan(x[~good]).all()
+    x_good, ok_good = spd_solve_stack(a[good], b[good])
+    assert ok_good.all()
+    np.testing.assert_array_equal(x[good], x_good)

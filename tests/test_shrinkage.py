@@ -364,14 +364,13 @@ def test_estimate_many_checks_alpha_and_shape():
 def test_critical_value_is_scipy_chi2_quantile():
     for r in range(1, 13):
         for alpha in np.concatenate([np.geomspace(1e-6, 0.5, 60), np.linspace(0.5, 0.999, 40)]):
-            shrinkage._critical_value.cache_clear()
             assert shrinkage._critical_value(float(alpha), r) == chi2.ppf(1.0 - alpha, r)
 
 
-def test_pretest_critical_value_cached_and_errors_raised_on_every_call():
+def test_pretest_alpha_errors_raised_on_every_call():
     crit = float(chi2.ppf(0.95, 3))
     fits = pinned_fits([np.nextafter(np.sqrt(crit), 0.0), np.sqrt(crit)], 3)
-    for _ in range(2):  # a cached value must not swallow the checks
+    for _ in range(2):  # a second call raises as the first did
         with pytest.raises(ValueError, match="needs a test level"):
             estimate_many(*fits, alpha=None)
         for alpha in (0.0, 1.0, 1.5):
