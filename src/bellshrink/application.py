@@ -98,6 +98,8 @@ def _parse_count(token: str, where: str) -> None:
         raise DataFormatError(f"{where}: response {token!r} is not an integer count")
     if val < 0:
         raise DataFormatError(f"{where}: response {token!r} is negative")
+    if val >= 2.0**63:
+        raise DataFormatError(f"{where}: response {token!r} is not below 2**63")
 
 
 def _raise_first_bad_cell(path, response_column: str, covariate_columns) -> None:

@@ -11,7 +11,8 @@ with F the per-observation information limit.  The unrestricted error is
 Z1 ~ N(0, F**-1); the projection component Z3 = kappa (H Z1 + gamma) has
 mean kappa gamma and covariance kappa0, is independent of Z2 = Z1 - Z3,
 and the Wald statistic converges to |U|^2-type quadratic form
-U' (H F**-1 H')**-1 U ~ chi-square(r, delta).
+U' (H F**-1 H')**-1 U ~ chi-square(r, delta).  Since kappa' F kappa is
+(H F**-1 H')**-1, delta is computed as (kappa gamma)' F (kappa gamma).
 
 Every bias and risk expression below follows from two moment identities
 for U ~ N_r(gamma, Sigma) and q = U' Sigma**-1 U:
@@ -20,9 +21,15 @@ for U ~ N_r(gamma, Sigma) and q = U' Sigma**-1 U:
     E[ phi(q) U U' ] = Sigma * E[ phi(chi2_{r+2}(delta)) ]
                        + gamma gamma' * E[ phi(chi2_{r+4}(delta)) ],
 
-applied with phi a power of 1/q, an indicator, or their products.  The
-resulting closed forms only need the noncentral chi-square distribution
-function and (truncated) inverse moments from `special_fn`.
+applied with phi a power of 1/q, an indicator, or their products.  So
+every estimator's limit is a weight triple (b, w0, w1) of noncentral
+chi-square quantities, one value per drift, defined in `_weights`:
+
+    bias = b * kappa gamma,
+    AMSE = F**-1 + w0 * kappa0 + w1 * (kappa gamma)(kappa gamma)'.
+
+The weights only need the noncentral chi-square distribution function and
+(truncated) inverse moments from `special_fn`.
 
 AMSE here means the second-moment matrix of the limiting scaled error,
 i.e. squared-bias plus variance; traces of these matrices are the scalar
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import spd_inverse, spd_solve, spd_solve_stack
+from .linalg import spd_inverse, spd_solve
 from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction, _critical_value
 
 __all__ = [
@@ -71,6 +78,7 @@ class LocalAlternative:
     f_inv: np.ndarray = field(init=False, repr=False)
     kappa: np.ndarray = field(init=False, repr=False)
     kappa0: np.ndarray = field(init=False, repr=False)
+    kappa_gamma: np.ndarray = field(init=False, repr=False)
     delta: float | np.ndarray = field(init=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -95,7 +103,13 @@ class LocalAlternative:
         self.kappa = spd_solve(hfh, finv_ht.T).T
         self.kappa0 = self.kappa @ finv_ht.T
         self.kappa0 = (self.kappa0 + self.kappa0.T) / 2.0
-        self.delta = _noncentrality(hfh, gamma)
+        # kappa gamma and delta = (kappa gamma)' F (kappa gamma) as one product
+        # per member (D, ...), so a member's bits do not depend on its stack
+        kg = (self.kappa @ np.atleast_2d(gamma)[:, :, None])[:, :, 0]
+        q = ((kg[:, None, :] @ fisher) @ kg[:, :, None])[:, 0, 0]
+        delta = np.where(q > 0.0, q, 0.0)
+        self.kappa_gamma = kg
+        self.delta = delta if gamma.ndim == 2 else float(delta[0])
 
     @property
     def n_restrictions(self) -> int:
@@ -110,16 +124,6 @@ def _stacked(la: LocalAlternative, values: np.ndarray) -> np.ndarray:
     """Per-member values (D, ...) as the alternative's shape: member 0 alone
     for a single drift."""
     return values if la.gamma.ndim == 2 else values[0]
-
-
-def _noncentrality(hfh: np.ndarray, gamma: np.ndarray) -> float | np.ndarray:
-    """gamma' (H F^-1 H')^-1 gamma per drift, from one batched solve."""
-    g = np.atleast_2d(gamma)
-    # hfh passed the kappa solve and gamma is finite, so every member solves.
-    x, _ = spd_solve_stack(np.broadcast_to(hfh, (len(g), *hfh.shape)), g)
-    q = (g[:, None, :] @ x[:, :, None])[:, 0, 0]
-    delta = np.where(q > 0.0, q, 0.0)
-    return delta if gamma.ndim == 2 else float(delta[0])
 
 
 def _ncx2(la: LocalAlternative, fn, dof: int, **kwargs) -> np.ndarray:
@@ -150,87 +154,66 @@ def _js_shrinkage(la: LocalAlternative) -> float:
     return r - 2.0
 
 
-def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
-    """Limiting bias vector of sqrt(n) * (estimator - beta), (k,) or (D, k).
+def _weights(est: str, la: LocalAlternative, alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The limit of one estimator as (b, w0, w1), each (D,): bias
+    b * kappa gamma and AMSE F**-1 + w0 * kappa0 + w1 * (kappa gamma)(kappa gamma)'.
 
-    UN is unbiased: its bias is zero.  The other four shrink along
-    kappa gamma; the scalar factor is 1 for RE, a noncentral inverse moment
-    for JSE, that same factor with the clamp correction for PJSE, and the
-    probability of accepting the restriction for PTE.
+    UN is (0, 0, 0) and RE (-1, -1, 1).  PTE weighs RE's terms by the
+    probabilities p_j = P(chi2_{r+j}(delta) <= c_alpha) of accepting the
+    restriction.  JSE uses the inverse moments of chi2_{r+2}(delta) and
+    chi2_{r+4}(delta) with c = r - 2, and PJSE adds to JSE's triple the
+    expectations of the clamp over {q < c}.
     """
-    est = _require(estimator)
-    kg = _kappa_gamma(la)
-    r = la.n_restrictions
+    d = len(la.kappa_gamma)
     if est == "UN":
-        return _stacked(la, np.zeros_like(kg))
+        return np.zeros(d), np.zeros(d), np.zeros(d)
     if est == "RE":
-        return _stacked(la, -kg)
+        return -np.ones(d), -np.ones(d), np.ones(d)
+    r = la.n_restrictions
     if est == "PTE":
         cutoff = _critical_value(alpha, r)
-        return _stacked(la, -kg * _ncx2(la, noncentral_chisq_cdf, r + 2, x=cutoff)[:, None])
+        p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=cutoff)
+        p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=cutoff)
+        return -p2, -p2, 2.0 * p2 - p4
     c = _js_shrinkage(la)
-    jse = -c * _ncx2(la, inv_moment, r + 2, order=1)[:, None] * kg
+    e1_2, e2_2 = (_ncx2(la, inv_moment, r + 2, order=j) for j in (1, 2))
+    e1_4, e2_4 = (_ncx2(la, inv_moment, r + 4, order=j) for j in (1, 2))
+    b = -c * e1_2
+    w0 = c * (c * e2_2 - 2.0 * e1_2)
+    w1 = c * (2.0 * e1_2 - 2.0 * e1_4 + c * e2_4)
     if est == "JSE":
-        return _stacked(la, jse)
-    # PJSE: clamping to the positive part adds E[(1 - c/q) 1{q < c}] along kg.
-    correction = (
-        c * _ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=1)
-        - _ncx2(la, noncentral_chisq_cdf, r + 2, x=c)
+        return b, w0, w1
+    # PJSE: clamping to the positive part replaces the negative-factor region
+    # {q < c}: the bias gains E[(1 - c/q) 1{q < c}], the risk the matching
+    # truncated (1 - c/q)**2-type terms.
+    p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=c)
+    p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=c)
+    t1_2, t2_2 = (_ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=j) for j in (1, 2))
+    t1_4, t2_4 = (_ncx2(la, truncated_inv_moment, r + 4, cutoff=c, order=j) for j in (1, 2))
+    return (
+        b + (c * t1_2 - p2),
+        w0 + (-p2 + 2.0 * c * t1_2 - c * c * t2_2),
+        w1 + (2.0 * p2 - 2.0 * c * t1_2 - p4 + 2.0 * c * t1_4 - c * c * t2_4),
     )
-    return _stacked(la, jse + correction[:, None] * kg)
+
+
+def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
+    """Limiting bias vector of sqrt(n) * (estimator - beta), (k,) or (D, k):
+    the weight b of `_weights` times kappa gamma.  UN's is exactly +0."""
+    est = _require(estimator)
+    kg = la.kappa_gamma
+    if est == "UN":
+        return _stacked(la, np.zeros_like(kg))
+    b = _weights(est, la, alpha)[0]
+    return _stacked(la, b[:, None] * kg)
 
 
 def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
     """Limiting second-moment matrix of sqrt(n) * (estimator - beta),
-    (k, k) or (D, k, k).
-
-    UN gives F**-1; the others trade the rank-r block kappa0 against a
-    rank-one drift term along kappa gamma with delta-dependent weights.
-    """
-    est = _require(estimator)
-    finv = la.f_inv
-    kg = _kappa_gamma(la)
-    if est == "UN":
-        return _stacked(la, np.repeat(finv[None], len(kg), axis=0))
+    (k, k) or (D, k, k): F**-1 plus the weights w0 and w1 of `_weights`
+    times the rank-r block kappa0 and the rank-one drift term along
+    kappa gamma."""
+    _, w0, w1 = _weights(_require(estimator), la, alpha)
+    kg = la.kappa_gamma
     drift = kg[:, :, None] * kg[:, None, :]
-    r = la.n_restrictions
-    if est == "RE":
-        return _stacked(la, finv - la.kappa0 + drift)
-
-    def ncx2(fn, dof, **kwargs):  # one weight per member, shaped to scale (k, k) blocks
-        return _ncx2(la, fn, dof, **kwargs)[:, None, None]
-
-    if est == "PTE":
-        cutoff = _critical_value(alpha, r)
-        p2 = ncx2(noncentral_chisq_cdf, r + 2, x=cutoff)
-        p4 = ncx2(noncentral_chisq_cdf, r + 4, x=cutoff)
-        return _stacked(la, finv - la.kappa0 * p2 + drift * (2.0 * p2 - p4))
-    c = _js_shrinkage(la)
-    e1_2 = ncx2(inv_moment, r + 2, order=1)
-    e2_2 = ncx2(inv_moment, r + 2, order=2)
-    e1_4 = ncx2(inv_moment, r + 4, order=1)
-    e2_4 = ncx2(inv_moment, r + 4, order=2)
-    jse = (
-        finv
-        + la.kappa0 * (c * (c * e2_2 - 2.0 * e1_2))
-        + drift * (c * (2.0 * e1_2 - 2.0 * e1_4 + c * e2_4))
-    )
-    if est == "JSE":
-        return _stacked(la, jse)
-    # PJSE: the clamp replaces the negative-factor region {q < c} of the
-    # James-Stein risk; both corrections are expectations of
-    # (1 - c/q)**2-type terms truncated to that region.
-    p2 = ncx2(noncentral_chisq_cdf, r + 2, x=c)
-    p4 = ncx2(noncentral_chisq_cdf, r + 4, x=c)
-    t1_2 = ncx2(truncated_inv_moment, r + 2, cutoff=c, order=1)
-    t2_2 = ncx2(truncated_inv_moment, r + 2, cutoff=c, order=2)
-    t1_4 = ncx2(truncated_inv_moment, r + 4, cutoff=c, order=1)
-    t2_4 = ncx2(truncated_inv_moment, r + 4, cutoff=c, order=2)
-    core = -p2 + 2.0 * c * t1_2 - c * c * t2_2
-    drift_corr = 2.0 * p2 - 2.0 * c * t1_2 - p4 + 2.0 * c * t1_4 - c * c * t2_4
-    return _stacked(la, jse + la.kappa0 * core + drift * drift_corr)
-
-
-def _kappa_gamma(la: LocalAlternative) -> np.ndarray:
-    """kappa gamma per drift, (D, k): one matrix-vector product per member."""
-    return (la.kappa @ np.atleast_2d(la.gamma)[:, :, None])[:, :, 0]
+    return _stacked(la, la.f_inv + w0[:, None, None] * la.kappa0 + w1[:, None, None] * drift)

@@ -22,7 +22,7 @@ from scipy.special import chdtrc
 from .application import BootstrapConfig, DataFormatError, bootstrap_bre, load_dataset
 from .asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from .bell_glm import aic, fit, loglik
-from .linalg import spd_inverse, spd_solve
+from .linalg import SingularMatrixError, spd_inverse
 from .montecarlo import ConvergenceError, SimConfig, run_simulation
 from .shrinkage import (
     ESTIMATOR_ORDER,
@@ -270,7 +270,8 @@ def _cmd_estimate(args) -> int:
 def _read_fisher(path, k: int) -> np.ndarray:
     """The k x k matrix of a --fisher file: one row per line, entries
     separated by commas in numpy's float syntax, '#' starting a comment.
-    A malformed file is a usage error that names it."""
+    A malformed file, or a matrix that is not symmetric positive definite,
+    is a usage error that names it."""
     rows = []
     for lineno, line in _read(content_lines, path):
         try:
@@ -279,7 +280,12 @@ def _read_fisher(path, k: int) -> np.ndarray:
             raise UsageError(f"{path}:{lineno}: expected comma-separated numbers") from None
     if len(rows) != k or any(len(row) != k for row in rows):
         raise UsageError(f"{path}: --fisher must be a {k}x{k} matrix")
-    return np.array(rows)
+    fisher = np.array(rows)
+    try:
+        spd_inverse(fisher)
+    except SingularMatrixError as exc:
+        raise UsageError(f"{path}: --fisher must be symmetric positive definite ({exc})") from None
+    return fisher
 
 
 def _theory_values(la: LocalAlternative, ests, alpha):
@@ -328,8 +334,7 @@ def _cmd_theory(args) -> int:
         if not np.any(direction != 0.0):
             raise UsageError("--direction must be a nonzero vector")
     # Scale the direction so the stated delta is the realized noncentrality.
-    m = rest.H @ spd_solve(fisher, rest.H.T)
-    unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
+    unit = direction / np.sqrt(LocalAlternative(direction, fisher, rest).delta)
     # The whole grid is one stack of drifts: one pass per estimator.
     la = LocalAlternative(gamma=np.sqrt(deltas)[:, None] * unit, fisher=fisher, restriction=rest)
     curves = [

@@ -186,6 +186,8 @@ def load_dataset_rowwise(path, response_column, covariate_columns):
             raise DataFormatError(f"{where}: response {token!r} is not an integer count")
         if val < 0:
             raise DataFormatError(f"{where}: response {token!r} is negative")
+        if val >= 2**63:
+            raise DataFormatError(f"{where}: response {token!r} is not below 2**63")
         return int(val)
 
     covariate_columns = tuple(covariate_columns)
@@ -422,12 +424,10 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     and one call of the public bias/AMSE functions per (delta, estimator)."""
     from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
     from bellshrink.cli import _fmt
-    from bellshrink.linalg import spd_solve
     from bellshrink.shrinkage import estimator_names
 
     r = rest.n_restrictions
-    m = rest.H @ spd_solve(fisher, rest.H.T)
-    unit = direction / np.sqrt(float(direction @ spd_solve(m, direction)))
+    unit = direction / np.sqrt(LocalAlternative(direction, fisher, rest).delta)
     lines = ["delta,estimator,bias_norm,amse_trace"]
     for d in deltas:
         for est in estimator_names(r):

@@ -221,6 +221,7 @@ def test_load_dataset_bad_row_names_its_line(tmp_path, case, blank_lines):
         ("y,x\n3,1.0\n", ["x9"]),
         ("y,x\n3,1.0\n2,0.5\n", ["x"]),  # too few rows for the model
         ("y,x\n3,nan\n2,0.5\n1,0.25\n", ["x"]),  # non-finite covariate
+        ("y,x\n3,1.0\n1e19,0.5\n1,2.0\n0,0.5\n", ["x"]),  # count beyond int64
     ],
 )
 def test_load_dataset_file_errors_match_rowwise_oracle(tmp_path, text, columns):
@@ -247,7 +248,7 @@ def test_load_dataset_rejects_float_spellings_outside_numpy_syntax(tmp_path, cel
 
 def test_load_dataset_rejects_counts_beyond_int64(tmp_path):
     path = write_csv(tmp_path, "y,x\n3,1.0\n1e19,0.5\n1,2.0\n0,0.5\n")
-    with pytest.raises(DataFormatError, match=f"^{path}: response counts"):
+    with pytest.raises(DataFormatError, match=f"^{path}:3: response '1e19' is not below 2"):
         load_dataset(path, "y", ["x"])
 
 

@@ -11,11 +11,17 @@ import functools
 import numpy as np
 import pytest
 
-from bellshrink import asymptotics, cli, shrinkage
+from bellshrink import asymptotics, cli, linalg, shrinkage
 from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from bellshrink.shrinkage import ESTIMATOR_ORDER, LinearRestriction, load_restriction
 from bellshrink.special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf
-from oracles import fisher_information, max_z_score, normal_theory_moments, theory_sweep_lines
+from oracles import (
+    fisher_information,
+    max_z_score,
+    normal_theory_moments,
+    quad_form,
+    theory_sweep_lines,
+)
 
 SEED = 771239
 ALPHA = 0.05
@@ -207,7 +213,7 @@ SWEEP_DELTAS = (0.0, 0.5, 3.0, 40.0, 700.0)
 SWEEP_ALPHA = 0.1
 
 
-def _theory_sweep(tmp_path, k, r, seed, name="curves.csv"):
+def _theory_sweep(tmp_path, k, r, seed, name="curves.csv", deltas=SWEEP_DELTAS):
     """Run `theory --delta-grid` on a random restriction geometry with a
     non-identity information limit; returns (restriction, F, direction, out)."""
     rng = np.random.default_rng(seed)
@@ -228,7 +234,7 @@ def _theory_sweep(tmp_path, k, r, seed, name="curves.csv"):
     out = tmp_path / name
     code = cli.main([
         "theory", "--restriction", str(rest_path), "--fisher", str(fisher_path),
-        "--alpha", str(SWEEP_ALPHA), "--delta-grid", ",".join(format(d, "g") for d in SWEEP_DELTAS),
+        "--alpha", str(SWEEP_ALPHA), "--delta-grid", ",".join(format(d, "g") for d in deltas),
         "--direction=" + ",".join(format(v, ".17g") for v in direction), "--out", str(out),
     ])
     assert code == 0
@@ -256,20 +262,35 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
 
         return wrapper
 
-    for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse"):
+    for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse",
+                 "spd_solve"):
         monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
     monkeypatch.setattr(shrinkage, "gammaincinv", counting("ppf", shrinkage.gammaincinv))
-    for sweep in ("a.csv", "b.csv"):  # two calls at the same (alpha, r)
-        _theory_sweep(tmp_path, 6, 4, SEED, name=sweep)
+    solve_stack = linalg.spd_solve_stack
+
+    def counting_members(a, b):  # every linalg entry ends in a stack solve
+        calls["factorized"] += len(a)
+        return solve_stack(a, b)
+
+    monkeypatch.setattr(linalg, "spd_solve_stack", counting_members)
+    # two calls at the same (alpha, r), on grids of different lengths
+    grids = {"a.csv": SWEEP_DELTAS, "b.csv": SWEEP_DELTAS[:2]}
+    for sweep, deltas in grids.items():
+        _theory_sweep(tmp_path, 6, 4, SEED, name=sweep, deltas=deltas)
     names = ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment")
     ncx2 = sum(evaluated[name] for name in names)
     # per delta: two cdfs at each of the critical value and r - 2, and
     # both plain and truncated inverse moments of orders 1 and 2
-    assert ncx2 == 2 * 12 * len(SWEEP_DELTAS)
+    assert ncx2 == 12 * sum(len(deltas) for deltas in grids.values())
     # each quantity in one call per sweep, for the whole grid
     assert sum(calls[name] for name in names) == 2 * 12
     assert calls["ppf"] == 2 * 2  # the PTE bias and AMSE of each sweep
-    assert calls["spd_inverse"] == 2  # one geometry per call
+    # one geometry per alternative, F^-1 and the kappa solve, whatever the
+    # grid's length: the unit drift's and the grid's; delta needs no solve
+    assert calls["spd_inverse"] == calls["spd_solve"] == 2 * 2
+    # those four factorizations per sweep, plus the CLI's SPD check of the
+    # --fisher file
+    assert calls["factorized"] == 2 * (4 + 1)
 
 
 STACK_DELTAS = (0.0, 0.5, 40.0, 700.0, 5000.0)  # Poisson windows of 1 to about 750 terms
@@ -300,6 +321,40 @@ def test_stack_of_drifts_equals_each_drift_alone_bitwise(k, r):
         LocalAlternative(np.zeros((2, r + 1)), one.fisher, one.restriction)
     with pytest.raises(ValueError):
         LocalAlternative(np.zeros((2, 2, r)), one.fisher, one.restriction)
+
+
+@pytest.mark.parametrize("deltas", [2.0, STACK_DELTAS])
+def test_bias_and_amse_do_not_depend_on_call_order(deltas):
+    # one weight triple serves both calls, so whichever call fills the
+    # alternative's memo, the other reads the same bits
+    one = random_alternative(6, 4, 1.0, SEED + 7)
+    gamma = np.multiply.outer(np.sqrt(deltas), one.gamma)  # (r,) or (D, r)
+    for est in ESTIMATOR_ORDER:
+        bias_first = LocalAlternative(gamma, one.fisher, one.restriction)
+        amse_first = LocalAlternative(gamma, one.fisher, one.restriction)
+        bias = asymptotic_bias(est, bias_first, alpha=ALPHA)
+        amse = asymptotic_amse(est, amse_first, alpha=ALPHA)
+        assert np.array_equal(asymptotic_amse(est, bias_first, alpha=ALPHA), amse)
+        assert np.array_equal(asymptotic_bias(est, amse_first, alpha=ALPHA), bias)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noncentrality_matches_quadratic_form(seed):
+    # delta = (kappa gamma)' F (kappa gamma) against gamma' (H F^-1 H')^-1 gamma
+    # to 1e-13, or to a few ulps times the condition number of H F^-1 H' when
+    # that is larger: both sides carry a rounding error of that size
+    rng = np.random.default_rng([SEED, seed])
+    k = int(rng.integers(2, 9))
+    r = int(rng.integers(1, k + 1))
+    A = rng.standard_normal((k, k))
+    fisher = A @ A.T / k + 0.2 * np.eye(k)
+    H = rng.standard_normal((r, k))
+    gammas = rng.standard_normal((4, r)) * np.array([[1e-3], [1.0], [10.0], [300.0]])
+    la = LocalAlternative(gammas, fisher, LinearRestriction(H=H, h=np.zeros(r)))
+    m = H @ np.linalg.inv(fisher) @ H.T
+    want = [quad_form(gamma, m) for gamma in gammas]
+    rtol = max(1e-13, 4 * np.finfo(float).eps * np.linalg.cond(m))
+    np.testing.assert_allclose(la.delta, want, rtol=rtol, atol=0)
 
 
 # ------------------------------------------------- normal-theory oracle checks

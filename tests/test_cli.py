@@ -378,6 +378,10 @@ def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):
         ("estimate", "0 1 0 0 0 | 0\n0 1 0 zero 0 | 0\n", None, "rest.txt:2:"),
         ("bootstrap", "0 1 0 0 0 | 0\n0 2 0 0 0 | 1\n", None, "rest.txt:"),
         ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\n0,1,0,x,0\n" + "0,0,1,0,0\n" * 3, "fisher.csv:2:"),
+        ("theory", "0 1 0 0 0 | 0\n", "1,0.5,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n0,0,0,1,0\n0,0,0,0,1\n",
+         "fisher.csv: --fisher must be symmetric positive definite (matrix is not symmetric)"),
+        ("theory", "0 1 0 0 0 | 0\n", "1,2,0,0,0\n2,1,0,0,0\n0,0,1,0,0\n0,0,0,1,0\n0,0,0,0,1\n",
+         "fisher.csv: --fisher must be symmetric positive definite (matrix is not positive"),
         ("theory", "0 1 0 0 0 | 0\udcff\n", None, "rest.txt: not UTF-8"),
         ("theory", "0 1 0 0 0 | 0\n", "1,0,0,0,0\udcff\n", "fisher.csv: not UTF-8"),
         ("simulate", "# caf\udce9\nn = 20\np = 3\ntau = 0\n", None, "sim.cfg: not UTF-8"),
@@ -387,7 +391,8 @@ def test_bootstrap_without_full_sample_mle_prints_no_comparison(tmp_path):
          "sim.cfg:4: alpha must be a number"),
     ],
     ids=[
-        "no-separator", "non-numeric", "rank-deficient", "fisher-cell", "rest-bytes",
+        "no-separator", "non-numeric", "rank-deficient", "fisher-cell", "fisher-asymmetric",
+        "fisher-indefinite", "rest-bytes",
         "fisher-bytes", "config-bytes", "config-tau-separator", "config-alpha-separator",
     ],
 )
@@ -611,6 +616,52 @@ def test_only_the_cli_writes_files():
         if isinstance(node, ast.Call) and _writes_a_file(node)
     }
     assert writers == {"cli.py"}
+
+
+# numpy's and scipy's factorizations and solves; the rank tests' svd and
+# matrix_rank are not among them
+_SOLVERS = {"cholesky", "solve", "inv", "pinv", "lstsq"}
+
+
+def _dotted(node) -> list[str]:
+    """The names of an attribute chain such as np.linalg.solve."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    return names[::-1]
+
+
+def _factorizes(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.linalg") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        names = {alias.name for alias in node.names}
+        return (
+            module.startswith("scipy.linalg")
+            or (module == "scipy" and "linalg" in names)
+            or (module.endswith("linalg") and bool(names & _SOLVERS))
+        )
+    if isinstance(node, ast.Call):
+        *owner, name = _dotted(node.func) or [""]
+        return "linalg" in owner and name in _SOLVERS
+    return False
+
+
+def test_only_linalg_factorizes():
+    # Every SPD solve goes through linalg's solve-or-flag stack, so no other
+    # module calls a numpy or scipy factorization or solve of its own.
+    package = Path(bellshrink.__file__).resolve().parent
+    solvers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _factorizes(node)
+    }
+    assert solvers == {"linalg.py"}
 
 
 def test_every_bench_tracer_target_resolves():
