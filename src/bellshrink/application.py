@@ -3,8 +3,10 @@ the estimator suite, with the full-vs-restricted AIC comparison.
 
 The bootstrap is a pairs bootstrap: each replication draws `resample_size`
 rows with replacement, refits, recomputes every estimator, and accumulates
-squared errors against a pseudo-truth vector.  The bootstrapped relative
-efficiency is
+squared errors against a pseudo-truth vector.  The rows of replication rep
+are its own block of `resample_size` words in one random stream per
+attempt (see `_ResampleDraw`), so they do not depend on how replications
+are stacked.  The bootstrapped relative efficiency is
 
     BRE(est) = bootSMSE(UN) / bootSMSE(est),
 
@@ -201,7 +203,22 @@ def load_dataset(path, response_column: str, covariate_columns) -> tuple[Dataset
 
 @dataclass(frozen=True)
 class _ResampleDraw:
-    """Draws the resampled rows of one (replication, attempt) of a bootstrap."""
+    """Draws the resampled rows of a bootstrap from one random stream per
+    attempt.
+
+    Attempt a reads the raw 64-bit words of
+    PCG64(SeedSequence(seed, spawn_key=(a,))), and replication rep takes
+    words rep * n_obs to (rep + 1) * n_obs - 1 of it, each modulo the
+    number of rows N, as its n_obs row indices.  A replication's rows are
+    thus a function of (seed, attempt, rep) alone, whatever else shares
+    its stack; with stock numpy they are
+
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(attempt,)))
+        bits.advance(rep * n_obs)
+        rows = bits.random_raw(n_obs) % N
+
+    The modulo leaves each row's probability within a factor 1 +- N / 2**64
+    of 1 / N."""
 
     X: np.ndarray
     y: np.ndarray
@@ -210,25 +227,36 @@ class _ResampleDraw:
 
     where = " of the bootstrap"
 
-    def _rows(self, rep: int, attempt: int) -> np.ndarray:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(rep, attempt))
-        rng = np.random.Generator(np.random.PCG64(seq))
-        return rng.integers(0, self.y.size, size=self.n_obs)
+    def rows(self, reps, attempt: int) -> np.ndarray:
+        """The row indices (m, n_obs) of reps on one attempt.  Each run of
+        consecutive reps is one `random_raw` call from its place in the
+        stream, so only the words of reps are drawn, in any order."""
+        bits = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(attempt,)))
+        origin = bits.state
+        reps = np.asarray(reps, dtype=np.int64)
+        words = np.empty((reps.size, self.n_obs), dtype=np.uint64)
+        starts = np.flatnonzero(np.diff(reps, prepend=-2) != 1)  # reps are >= 0
+        for lo, hi in zip(starts, [*starts[1:], reps.size]):
+            bits.state = origin
+            bits.advance(int(reps[lo]) * self.n_obs)
+            words[lo:hi] = bits.random_raw((hi - lo, self.n_obs))
+        return words % np.uint64(self.y.size)
 
     def stack(self, reps, attempt: int) -> tuple[np.ndarray, np.ndarray]:
         """The resamples of reps on one attempt as X (m, n_obs, k) and
-        y (m, n_obs), gathered with one (m, n_obs) index array."""
-        idx = np.stack([self._rows(rep, attempt) for rep in reps])
+        y (m, n_obs), gathered with the one index array of `rows`."""
+        idx = self.rows(reps, attempt)
         return self.X[idx], self.y[idx]
 
 
 def bootstrap_bre(data: Dataset, cfg: BootstrapConfig) -> BREReport:
     """Pairs-bootstrap relative efficiencies; bit-reproducible given seed.
 
-    The refits run in stacks through `montecarlo._replicate`; one whose fit
-    fails is redrawn from a fresh substream and counted, and more than 10%
-    failures aborts.  Restricted refits are checked against the restriction
-    on every replication.  The BREs come from `montecarlo._efficiency`
+    The resamples come from `_ResampleDraw`, and the refits run in stacks
+    through `montecarlo._replicate`; one whose fit fails is redrawn from
+    the next attempt's stream and counted, and more than 10% failures
+    aborts.  Restricted refits are checked against the restriction on
+    every replication.  The BREs come from `montecarlo._efficiency`
     against `full.beta`, as the simulated SREs do.  The report also carries
     the full-sample Wald statistic and the AIC of the full and restricted
     fits."""

@@ -199,13 +199,15 @@ def _weights(est: str, la: LocalAlternative, alpha) -> tuple[np.ndarray, np.ndar
 
 def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
     """Limiting bias vector of sqrt(n) * (estimator - beta), (k,) or (D, k):
-    the weight b of `_weights` times kappa gamma.  UN's is exactly +0."""
+    the weight b of `_weights` times kappa gamma.  A zero component is +0:
+    UN's are exactly +0, and adding +0.0 clears the sign that a negative
+    weight gives a zero drift."""
     est = _require(estimator)
     kg = la.kappa_gamma
     if est == "UN":
         return _stacked(la, np.zeros_like(kg))
     b = _weights(est, la, alpha)[0]
-    return _stacked(la, b[:, None] * kg)
+    return _stacked(la, b[:, None] * kg + 0.0)
 
 
 def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:

@@ -200,11 +200,38 @@ def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> _Point:
     mu / theta at the clamped eta, so the kernel needs no log or exp."""
     eta = np.matmul(X, beta[..., None])[..., 0]
     clamped = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
-    excess = clamped - eta
+    excess = np.subtract(clamped, eta, out=eta)
     mu = np.exp(clamped)
     theta = lambert_w0(mu)
-    kern = np.sum(y * (clamped - theta) - mu / theta, axis=-1) + y.shape[-1]
+    # The kernel's terms y (clamped - theta) - mu / theta, in clamped's array.
+    terms = np.subtract(clamped, theta, out=clamped)
+    np.multiply(y, terms, out=terms)
+    np.subtract(terms, np.divide(mu, theta), out=terms)
+    kern = np.sum(terms, axis=-1) + y.shape[-1]
     return _Point(beta, excess, mu, theta, kern, np.count_nonzero(excess, axis=-1))
+
+
+def _newton_terms(y: np.ndarray, cur: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """The observed-information weights w = [mu (1 + theta (1 + theta)) +
+    y theta] / (1 + theta)**3 at cur and the working vector
+    w (clip(eta) - eta) + s, with s = (y - mu) / (1 + theta) the score in
+    eta, each (m, n), computed in place.
+
+    The Newton target (X'WX)^-1 X'W (clip(eta) + s / w) less beta is
+    (X'WX)^-1 X' times the working vector: beta cancels before the solve,
+    so its roundoff cannot swamp a small step on a badly conditioned
+    design, and rows of tiny weight stay finite."""
+    one_plus = np.add(1.0, cur.theta)
+    resid = np.subtract(y, cur.mu)
+    np.divide(resid, one_plus, out=resid)
+    w = np.multiply(cur.theta, one_plus)
+    np.add(1.0, w, out=w)
+    np.multiply(cur.mu, w, out=w)
+    tmp = np.multiply(y, cur.theta)
+    np.add(w, tmp, out=w)
+    np.divide(w, np.power(one_plus, 3, out=tmp), out=w)
+    np.multiply(w, cur.excess, out=tmp)
+    return w, np.add(tmp, resid, out=tmp)
 
 
 def _line_search(m: _Members, cur: _Point, step) -> _Point:
@@ -271,16 +298,9 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
         if cur.clipped.any():
             m.n_clamped[:] += cur.clipped
             logger.debug("clamped %d linear predictors at |eta| = %g", cur.clipped.sum(), _ETA_BOUND)
-        one_plus = 1.0 + cur.theta
-        resid = (m.y - cur.mu) / one_plus
-        w = (cur.mu * (1.0 + cur.theta * one_plus) + m.y * cur.theta) / one_plus**3
+        w, target = _newton_terms(m.y, cur)
         Xt = m.X.transpose(0, 2, 1)
-        # The Newton target (X'WX)^-1 X'W (clip(eta) + s / w), with s =
-        # (y - mu)/(1 + theta) the score in eta, less beta, as
-        # (X'WX)^-1 X'(W (clip(eta) - eta) + s): beta cancels before the
-        # solve, so its roundoff cannot swamp a small step on a badly
-        # conditioned design, and rows of tiny weight stay finite.
-        rhs = (Xt @ (w * cur.excess + resid)[..., None])[..., 0]
+        rhs = (Xt @ target[..., None])[..., 0]
         step, ok = spd_solve_stack(Xt @ (m.X * w[..., None]), rhs)
         if not ok.all():
             m, cur, rhs, step = _take(m, ok), _take(cur, ok), rhs[ok], step[ok]

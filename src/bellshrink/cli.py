@@ -333,7 +333,10 @@ def _cmd_theory(args) -> int:
         direction = np.array(vals)
         if not np.any(direction != 0.0):
             raise UsageError("--direction must be a nonzero vector")
-    # Scale the direction so the stated delta is the realized noncentrality.
+    # Scale the direction so the stated delta is the realized noncentrality,
+    # after an exact power-of-two rescaling that brings its largest entry
+    # into [0.5, 1), so its own noncentrality cannot overflow or underflow.
+    direction = np.ldexp(direction, -np.frexp(np.max(np.abs(direction)))[1])
     unit = direction / np.sqrt(LocalAlternative(direction, fisher, rest).delta)
     # The whole grid is one stack of drifts: one pass per estimator.
     la = LocalAlternative(gamma=np.sqrt(deltas)[:, None] * unit, fisher=fisher, restriction=rest)

@@ -81,15 +81,32 @@ def lambert_w0(x):
     z = np.asarray(x, dtype=float)
     if z.size and (np.any(z < 0.0) or not np.all(np.isfinite(z))):
         raise ValueError("lambert_w0 requires finite input >= 0")
-    lz = np.log1p(z)
-    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    # w = l (1 - log1p(l) / (2 + l)), then per pass g = w - z e**-w and
+    # w -= g / (w + 1 - (w + 2) g / (2 (w + 1))): the same operations in the
+    # same order in five work arrays; z itself is never written.
+    lz = np.log1p(z, out=np.empty_like(z))  # out= keeps a 0-d input an array
+    w, wp1, b, d = (np.empty_like(z) for _ in range(4))
+    np.log1p(lz, out=w)
+    np.divide(w, np.add(2.0, lz, out=wp1), out=w)
+    np.subtract(1.0, w, out=w)
+    np.multiply(lz, w, out=w)
+    g = lz
     for _ in range(3):
-        g = w - z * np.exp(-w)
-        wp1 = w + 1.0
-        w = w - g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+        np.negative(w, out=g)
+        np.exp(g, out=g)
+        np.multiply(z, g, out=g)
+        np.subtract(w, g, out=g)
+        np.add(w, 1.0, out=wp1)
+        np.add(w, 2.0, out=b)
+        np.multiply(b, g, out=b)
+        np.multiply(2.0, wp1, out=d)
+        np.divide(b, d, out=b)
+        np.subtract(wp1, b, out=b)
+        np.divide(g, b, out=g)
+        np.subtract(w, g, out=w)
     if scalar:
         return float(w)
-    return np.asarray(w)
+    return w
 
 
 # --- Bell numbers ---------------------------------------------------------

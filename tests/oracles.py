@@ -21,6 +21,12 @@ round, `theory_sweep_lines`, the `theory --delta-grid` rows from a fresh
 and `per_member_estimators`, the five estimators of one fit from their
 textbook formulas, one solve at a time.
 
+`lambert_w0_expressions`, `evaluate_expressions` and
+`newton_terms_expressions` keep the whole-array expression forms of
+`special_fn.lambert_w0`, `bell_glm._evaluate` and `bell_glm._newton_terms`,
+which now compute in place with the same operations in the same order, so
+tests can pin the package's bits to them.
+
 `compound_sample_counts` keeps the package's earlier Bell sampler, a sum
 of zero-truncated Poisson parts, bit for bit: `simulate_dataset`
 draws the fixture datasets with it, so they keep their bytes.
@@ -419,6 +425,43 @@ def compound_sample_counts(theta, rng):
     return np.bincount(idx, weights=parts, minlength=theta.size).astype(np.int64)
 
 
+def lambert_w0_expressions(x):
+    """`special_fn.lambert_w0` as whole-array expressions: Winitzki's seed
+    and three Halley passes on g(w) = w - x e**-w, a float for a scalar."""
+    scalar = np.isscalar(x)
+    z = np.asarray(x, dtype=float)
+    lz = np.log1p(z)
+    w = lz * (1.0 - np.log1p(lz) / (2.0 + lz))
+    for _ in range(3):
+        g = w - z * np.exp(-w)
+        wp1 = w + 1.0
+        w = w - g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+    if scalar:
+        return float(w)
+    return np.asarray(w)
+
+
+def evaluate_expressions(X, y, beta, bound=30.0):
+    """`bell_glm._evaluate` as whole-array expressions: (excess, mu, theta,
+    kernel, clamp count) at beta for X (m, n, k), y (m, n), beta (m, k)."""
+    eta = np.matmul(X, beta[..., None])[..., 0]
+    clamped = np.clip(eta, -bound, bound)
+    excess = clamped - eta
+    mu = np.exp(clamped)
+    theta = lambert_w0_expressions(mu)
+    kern = np.sum(y * (clamped - theta) - mu / theta, axis=-1) + y.shape[-1]
+    return excess, mu, theta, kern, np.count_nonzero(excess, axis=-1)
+
+
+def newton_terms_expressions(y, mu, theta, excess):
+    """`bell_glm._newton_terms` as whole-array expressions: the weights w
+    and the working vector w excess + (y - mu) / (1 + theta)."""
+    one_plus = 1.0 + theta
+    resid = (y - mu) / one_plus
+    w = (mu * (1.0 + theta * one_plus) + y * theta) / one_plus**3
+    return w, w * excess + resid
+
+
 def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     """The CSV lines of `theory --delta-grid`, one fresh LocalAlternative
     and one call of the public bias/AMSE functions per (delta, estimator)."""
@@ -427,6 +470,7 @@ def theory_sweep_lines(rest, fisher, deltas, direction, alpha):
     from bellshrink.shrinkage import estimator_names
 
     r = rest.n_restrictions
+    direction = np.ldexp(direction, -np.frexp(np.max(np.abs(direction)))[1])
     unit = direction / np.sqrt(LocalAlternative(direction, fisher, rest).delta)
     lines = ["delta,estimator,bias_norm,amse_trace"]
     for d in deltas:

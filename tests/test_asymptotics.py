@@ -248,6 +248,42 @@ def test_theory_sweep_matches_fresh_alternative_per_delta(tmp_path, capsys, k, r
     assert out.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
+@pytest.mark.parametrize("scale", [2.0**532, 2.0**-532, 2.0**665, 2.0**-665, 1e160, 1e-160, 1e-200])
+def test_theory_sweep_bytes_do_not_depend_on_the_direction_scale(tmp_path, capsys, scale):
+    # A direction's own noncentrality once overflowed (scale 1e160: the
+    # zero-drift curve) or underflowed (1e-160: wrong PTE biases; 1e-200:
+    # a non-finite gamma).  Under a non-identity information limit every
+    # direction has its own curve, and a scaled direction must print it.
+    rest, fisher, direction, out = _theory_sweep(tmp_path, 5, 3, SEED + 3)
+    scaled = tmp_path / "scaled.csv"
+    code = cli.main([
+        "theory", "--restriction", str(tmp_path / "rest.txt"),
+        "--fisher", str(tmp_path / "fisher.csv"), "--alpha", str(SWEEP_ALPHA),
+        "--delta-grid", ",".join(format(d, "g") for d in SWEEP_DELTAS),
+        "--direction=" + ",".join(format(v * scale, ".17g") for v in direction),
+        "--out", str(scaled),
+    ])
+    assert code == 0
+    assert scaled.read_bytes() == out.read_bytes()
+    want = theory_sweep_lines(rest, fisher, SWEEP_DELTAS, direction * scale, SWEEP_ALPHA)
+    assert scaled.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_theory_zero_gamma_prints_unsigned_zero_biases(tmp_path, capsys):
+    # b times a +0 drift is -0 for a negative weight b; the bias column
+    # must print 0 for every estimator, as UN's does.
+    _theory_sweep(tmp_path, 5, 3, SEED + 3)
+    out = tmp_path / "point.csv"
+    code = cli.main([
+        "theory", "--restriction", str(tmp_path / "rest.txt"),
+        "--fisher", str(tmp_path / "fisher.csv"), "--gamma=0,0,0", "--out", str(out),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {row[0] for row in rows} == {"UN", "RE", "JSE", "PJSE", "PTE"}
+    assert {row[2] for row in rows} == {"0"}
+
+
 def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch):
     calls = collections.Counter()  # wrapped calls
     evaluated = collections.Counter()  # noncentralities they evaluate

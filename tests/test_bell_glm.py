@@ -21,7 +21,15 @@ from bellshrink.linalg import SingularMatrixError, spd_solve
 from bellshrink.application import _ResampleDraw
 from bellshrink.montecarlo import _SimDraw, generate_dataset
 from bellshrink.special_fn import log_bell_many
-from oracles import build_design, fisher_information, newton_mle, score, simulate_dataset
+from oracles import (
+    build_design,
+    evaluate_expressions,
+    fisher_information,
+    newton_mle,
+    newton_terms_expressions,
+    score,
+    simulate_dataset,
+)
 
 SEED = 90210
 
@@ -387,3 +395,25 @@ def test_fit_many_evaluates_no_bell_number(monkeypatch):
     y = rng.poisson(np.exp(X @ np.array([6.5, 0.2, -0.1])))
     assert y.max() > 512
     assert fit_many(X, y).converged.all()
+
+
+@given(
+    st.integers(1, 4), st.integers(3, 30), st.integers(1, 5), st.integers(0, 2**32 - 1),
+    st.floats(0.01, 40.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_in_place_newton_kernels_keep_the_bits_of_the_expression_forms(m, n, k, seed, scale):
+    # _evaluate and _newton_terms work in place; their bits are those of the
+    # whole-array expressions, clamped predictors (large scale) included.
+    rng = np.random.default_rng(seed)
+    X = np.concatenate([np.ones((m, n, 1)), scale * rng.standard_normal((m, n, k - 1))], axis=2)
+    y = rng.integers(0, 60, size=(m, n)).astype(float)
+    beta = rng.standard_normal((m, k))
+    point = bell_glm._evaluate(X, y, beta)
+    want = evaluate_expressions(X, y, beta, bell_glm._ETA_BOUND)
+    got = (point.excess, point.mu, point.theta, point.kern, point.clipped)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    excess, mu, theta = want[:3]
+    for a, b in zip(bell_glm._newton_terms(y, point), newton_terms_expressions(y, mu, theta, excess)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -29,7 +29,7 @@ from bellshrink.special_fn import (
     noncentral_chisq_cdf,
     truncated_inv_moment,
 )
-from oracles import quad_inv_moment
+from oracles import lambert_w0_expressions, quad_inv_moment
 
 # B_0 .. B_10
 BELL_INTEGERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -96,6 +96,34 @@ def test_lambert_w0_entry_does_not_depend_on_its_neighbours(xs):
 # 0, the smallest subnormal, a subnormal, a tiny normal, e, and the top of
 # the range, where the unscaled Halley residual w e**w - x overflowed
 W_DOMAIN_EDGES = [0.0, 5e-324, 1e-310, 1e-300, math.e, 1e100, 1e200, 1e308, np.finfo(float).max]
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=np.finfo(float).max), min_size=1, max_size=40))
+@example([*W_DOMAIN_EDGES, 1.797e308])
+@settings(max_examples=200, deadline=None)
+def test_lambert_w0_in_place_keeps_the_bits_of_the_expression_form(xs):
+    # lambert_w0 works in place; its bits are those of the whole-array
+    # expressions, on every shape: n-d, 0-d and Python scalars.
+    x = np.array(xs)
+    assert_same_bits(lambert_w0(x), lambert_w0_expressions(x))
+    square = x[: int(math.isqrt(x.size)) ** 2].reshape(math.isqrt(x.size), -1)
+    assert_same_bits(lambert_w0(square), lambert_w0_expressions(square))
+    assert_same_bits(lambert_w0(x[0]), lambert_w0_expressions(x[0]))
+    assert_same_bits(lambert_w0(np.array(xs[0])), lambert_w0_expressions(np.array(xs[0])))
+    assert_same_bits(lambert_w0(xs[0]), lambert_w0_expressions(xs[0]))
+    np.testing.assert_array_equal(x, xs)  # the input is not written
+
+
+def test_lambert_w0_in_place_keeps_the_bits_on_random_arrays():
+    x = np.exp(np.random.default_rng(1).uniform(-745.0, 709.78, 200_000))
+    assert_same_bits(lambert_w0(x), lambert_w0_expressions(x))
+    assert_same_bits(lambert_w0(x.reshape(400, 500)), lambert_w0_expressions(x.reshape(400, 500)))
 
 
 @pytest.mark.filterwarnings("error")
