@@ -29,7 +29,8 @@ chi-square quantities, one value per drift, defined in `_weights`:
     AMSE = F**-1 + w0 * kappa0 + w1 * (kappa gamma)(kappa gamma)'.
 
 The weights only need the noncentral chi-square distribution function and
-(truncated) inverse moments from `special_fn`.
+(truncated) inverse moments, which `special_fn._mixtures` evaluates in one
+pass; it takes delta up to 1e9.
 
 AMSE here means the second-moment matrix of the limiting scaled error,
 i.e. squared-bias plus variance; traces of these matrices are the scalar
@@ -57,7 +58,7 @@ __all__ = [
     "asymptotic_bias",
 ]
 
-from .special_fn import NoncentralChiSq, inv_moment, noncentral_chisq_cdf, truncated_inv_moment
+from .special_fn import _mixtures
 
 
 @dataclass
@@ -66,10 +67,10 @@ class LocalAlternative:
     limit F; derived projection quantities are computed once on creation.
 
     gamma is one drift (r,) or a stack of drifts (D, r); a sweep over many
-    drifts is one alternative built with the stack.  Each noncentral
-    chi-square quantity the estimators need is evaluated once per
-    alternative, for the whole stack, and shared by every
-    `asymptotic_bias`/`asymptotic_amse` call.
+    drifts is one alternative built with the stack.  The noncentral
+    chi-square quantities the estimators need are evaluated together, in
+    one mixture pass per alternative and test level alpha for the whole
+    stack, and shared by every `asymptotic_bias`/`asymptotic_amse` call.
     """
 
     gamma: np.ndarray
@@ -126,17 +127,19 @@ def _stacked(la: LocalAlternative, values: np.ndarray) -> np.ndarray:
     return values if la.gamma.ndim == 2 else values[0]
 
 
-def _ncx2(la: LocalAlternative, fn, dof: int, **kwargs) -> np.ndarray:
-    """fn(dist=chi2_dof(delta), **kwargs) for one of the noncentral
-    chi-square functions, one value per drift of the stack, evaluated once
-    per alternative."""
-    memo = la._memo
-    key = (fn, dof, *sorted(kwargs.items()))
-    if key not in memo:
-        if dof not in memo:
-            memo[dof] = NoncentralChiSq(dof, np.atleast_1d(la.delta))
-        memo[key] = fn(dist=memo[dof], **kwargs)
-    return memo[key]
+def _chisq_values(la: LocalAlternative, alpha) -> np.ndarray:
+    """The noncentral chi-square quantities of `_weights` at level alpha,
+    one row per quantity, from one `_mixtures` call per alternative and
+    alpha: PTE's two cdfs at c_alpha if alpha is given, then, if r >= 3,
+    the ten of JSE and PJSE."""
+    if alpha not in la._memo:
+        r = la.n_restrictions
+        specs = [] if alpha is None else [(r + 2, 0, c := _critical_value(alpha, r)), (r + 4, 0, c)]
+        if r >= _MIN_JS_RESTRICTIONS:
+            specs += [(r + j, order, np.inf) for j in (2, 4) for order in (1, 2)]
+            specs += [(r + j, order, r - 2.0) for j in (2, 4) for order in (0, 1, 2)]
+        la._memo[alpha] = _mixtures(la.delta, specs)
+    return la._memo[alpha]
 
 
 def _require(estimator: str) -> str:
@@ -169,15 +172,13 @@ def _weights(est: str, la: LocalAlternative, alpha) -> tuple[np.ndarray, np.ndar
         return np.zeros(d), np.zeros(d), np.zeros(d)
     if est == "RE":
         return -np.ones(d), -np.ones(d), np.ones(d)
-    r = la.n_restrictions
     if est == "PTE":
-        cutoff = _critical_value(alpha, r)
-        p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=cutoff)
-        p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=cutoff)
+        if alpha is None:
+            raise ValueError("the pretest estimator needs a test level alpha")
+        p2, p4 = _chisq_values(la, alpha)[:2]
         return -p2, -p2, 2.0 * p2 - p4
     c = _js_shrinkage(la)
-    e1_2, e2_2 = (_ncx2(la, inv_moment, r + 2, order=j) for j in (1, 2))
-    e1_4, e2_4 = (_ncx2(la, inv_moment, r + 4, order=j) for j in (1, 2))
+    e1_2, e2_2, e1_4, e2_4, p2, t1_2, t2_2, p4, t1_4, t2_4 = _chisq_values(la, alpha)[-10:]
     b = -c * e1_2
     w0 = c * (c * e2_2 - 2.0 * e1_2)
     w1 = c * (2.0 * e1_2 - 2.0 * e1_4 + c * e2_4)
@@ -186,10 +187,6 @@ def _weights(est: str, la: LocalAlternative, alpha) -> tuple[np.ndarray, np.ndar
     # PJSE: clamping to the positive part replaces the negative-factor region
     # {q < c}: the bias gains E[(1 - c/q) 1{q < c}], the risk the matching
     # truncated (1 - c/q)**2-type terms.
-    p2 = _ncx2(la, noncentral_chisq_cdf, r + 2, x=c)
-    p4 = _ncx2(la, noncentral_chisq_cdf, r + 4, x=c)
-    t1_2, t2_2 = (_ncx2(la, truncated_inv_moment, r + 2, cutoff=c, order=j) for j in (1, 2))
-    t1_4, t2_4 = (_ncx2(la, truncated_inv_moment, r + 4, cutoff=c, order=j) for j in (1, 2))
     return (
         b + (c * t1_2 - p2),
         w0 + (-p2 + 2.0 * c * t1_2 - c * c * t2_2),

@@ -16,26 +16,25 @@ mixture representation
     X ~ chi2(dof + 2 J),  J ~ Poisson(noncentrality / 2),
 
 summing the mixture terms over one window around the modal Poisson index
-that holds all but 1e-12 of the Poisson mass.  One private routine does
-that sum for all three: with m = dof + 2j and order k in {0, 1, 2}, it adds
+that holds all but 1e-12 of the Poisson mass.  One private routine,
+`_mixtures`, sums any list of such quantities in one pass over the windows:
+with m = dof + 2j and order k in {0, 1, 2}, each adds
 
     w_j * P(chi2_{m - 2k} <= c) / prod_{i=1..k} (m - 2i),
 
 where c is the argument of the cdf (k = 0), the cutoff of a truncated
 moment, or infinity for a plain moment, whose terms need no incomplete
-gamma.  Each public function checks its own arguments and calls it once.
+gamma.  Each public function checks its own arguments and asks for one.
 
 A law may hold a stack of D noncentralities (a 1-d array), and the three
-functions then return one value per noncentrality.  The windows of a stack
-are zero-padded into one table, built once per stack, and each window is
-summed in index order, so a member's value is the same, bit for bit,
+functions then return one value per noncentrality, at most 1e9.  Each
+window is summed on its own, so a member's value is the same, bit for bit,
 whatever else shares its stack; a scalar noncentrality is the stack of one
 and gives a float.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +52,7 @@ __all__ = [
 ]
 
 _POISSON_TAIL = 1e-12
+_MAX_NONCENTRALITY = 1e9  # its Poisson window holds about 340,000 terms
 
 
 def lambert_w0(x):
@@ -117,8 +117,8 @@ def lambert_w0(x):
 # sigma = sqrt(l* / (W(n) + 1)), and the window runs from 14 sigma + 20
 # below l* to as far above, so it holds the sum to double precision.
 
-# Cap on the entries of one table of Dobinski windows; bounds the working
-# memory of `log_bell_many` at a few arrays of this size.
+# Cap on the entries of one table of windows, Dobinski's here and Poisson's
+# in `_mixtures`; bounds their working memory at a few arrays of this size.
 _BELL_TABLE_ELEMENTS = 1 << 18
 
 
@@ -134,8 +134,8 @@ def log_bell_many(n: np.ndarray) -> np.ndarray:
     """log B_n of every entry of an integer array.  The distinct values
     share one Lambert W call for their saddle points.  Their windows are
     zero-padded into one table, one column per value plus an all-zero last
-    column as in `_weight_table`, so numpy adds every column in index
-    order and an entry's bits do not depend on the other entries.  A table
+    column, so numpy adds every column in index order (a lone column it
+    sums pairwise) and an entry's bits do not depend on the others.  A table
     holds at most _BELL_TABLE_ELEMENTS entries; more values take more
     tables."""
     n = np.asarray(n)
@@ -187,57 +187,6 @@ class NoncentralChiSq:
         object.__setattr__(self, "noncentrality", float(nc) if nc.ndim == 0 else _frozen(nc))
 
 
-@functools.lru_cache(maxsize=256)
-def _poisson_weights(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson(lam) pmf terms over a window holding all but < 1e-12 of the mass.
-
-    The window is [lam - t, lam + t] around the mode, with t from the
-    Bernstein tail bound P(|J - lam| >= t) <= 2 exp(-t**2 / (2 (lam + t/3))).
-    Terms are built from the mode outward as running products of the
-    ratios w(j+1)/w(j) = lam/(j+1), then normalised to sum to one, so no
-    large exponent cancels and the cost is one vectorised pass.  Results
-    are cached per lam and shared by the cdf and both inverse moments.
-    """
-    if lam <= 0.0:
-        return _frozen(np.array([0])), _frozen(np.array([1.0]))
-    c = -math.log(_POISSON_TAIL / 2.0)
-    t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * lam)
-    j0 = int(lam)
-    lo = max(0, int(math.floor(lam - t)))
-    hi = int(math.ceil(lam + t))
-    up = np.cumsum(np.log(lam / np.arange(j0 + 1, hi + 1, dtype=float)))
-    down = np.cumsum(np.log(np.arange(j0, lo, -1, dtype=float) / lam))
-    log_w = np.concatenate([down[::-1], [0.0], up])
-    ws = np.exp(log_w)
-    ws /= ws.sum()
-    return _frozen(np.arange(lo, hi + 1)), _frozen(ws)
-
-
-@functools.lru_cache(maxsize=1)
-def _weight_table(lams: tuple[float, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """The `_poisson_weights` windows of a stack of D means as one table.
-
-    Returns (base, idx, ws) with idx and ws of shape (W, D + 1): column d
-    of ws holds the weights of Poisson(lams[d]) down the rows, zero past the
-    end of its window, and idx holds their indices j less base, the least
-    index of any window.  The last column is all zero: numpy adds the rows
-    of a 2-d array in order along axis 0 but sums a lone column pairwise,
-    so the extra column keeps a stack of one on the in-order path.  The
-    last stack's table is cached, so the cdf and the inverse moments of one
-    stack share it even when the stack is longer than the per-mean cache;
-    one entry bounds the memory a long grid keeps.
-    """
-    windows = [_poisson_weights(lam) for lam in lams]
-    base = min((int(js[0]) for js, _ in windows), default=0)
-    width = max((len(js) for js, _ in windows), default=1)
-    idx = np.zeros((width, len(windows) + 1), dtype=np.intp)
-    ws = np.zeros(idx.shape)
-    for d, (js, w) in enumerate(windows):
-        idx[: len(js), d] = js - base
-        ws[: len(w), d] = w
-    return base, _frozen(idx), _frozen(ws)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -251,40 +200,95 @@ def _check_order(dist: NoncentralChiSq, order: int, name: str) -> None:
         raise ValueError(f"{name} of order {order} needs dof >= {least}, got {dist.dof}")
 
 
-def _per_law(dist: NoncentralChiSq, values: np.ndarray) -> float | np.ndarray:
-    """One value per noncentrality of `dist`: a float for a scalar law."""
+def _one_spec(dist: NoncentralChiSq, order: int, cutoff: float) -> float | np.ndarray:
+    """The `_mixtures` row of (dist.dof, order, cutoff); a float for a scalar law."""
+    values = _mixtures(dist.noncentrality, [(dist.dof, order, cutoff)])[0]
     return float(values[0]) if np.ndim(dist.noncentrality) == 0 else values
 
 
-def _mixture_sum(dist: NoncentralChiSq, order: int, cutoff: float = math.inf) -> np.ndarray:
-    """sum_j w_j P(chi2_{m - 2 order} <= cutoff) / prod_{i=1..order} (m - 2i)
-    over the Poisson window of each noncentrality of `dist`, with m = dof + 2j.
+def _poisson_windows(lam: np.ndarray):
+    """The Poisson(lam) pmf of each mean of the 1-d `lam` on [lam - t, lam + t],
+    t from the Bernstein bound P(|J - lam| >= t) <= 2 exp(-t**2 / (2 (lam + t/3)))
+    so it holds all but < 1e-12 of the mass: running sums of the log ratios
+    lam/(j+1) outward from the mode, normalised, so no large exponent cancels.
+    Yields (b, starts, js, at, w) per block of means lam[b], built in one
+    array pass, of at most _BELL_TABLE_ELEMENTS table entries or one window:
+    the windows end to end from starts[d] on, term i of weight w[i] and
+    index js[at[i]]."""
+    c = -math.log(_POISSON_TAIL / 2.0)
+    t = c / 3.0 + np.sqrt(c * c / 9.0 + 2.0 * c * lam)
+    mode = lam.astype(np.int64)
+    lo = np.maximum(0.0, np.floor(lam - t)).astype(np.int64)
+    hi = np.where(lam > 0.0, np.ceil(lam + t), 0.0).astype(np.int64)  # lam 0: J = 0
+    cols = int(np.max(mode - lo, initial=0) + np.max(hi - mode, initial=0)) + 1
+    step = max(1, _BELL_TABLE_ELEMENTS // cols)
+    for start in range(0, lam.size, step):
+        b = slice(start, start + step)
+        lam_b, mode_b, lo_b, hi_b = lam[b], mode[b], lo[b], hi[b]
+        # log-weights along one row per window, the mode in column n_down;
+        # entries past a window are never read, and a mean of 0 divides by 1
+        n_down, n_up = int(np.max(mode_b - lo_b)), int(np.max(hi_b - mode_b))
+        ratio_lam, from_mode = np.where(lam_b > 0.0, lam_b, 1.0)[:, None], mode_b[:, None]
+        steps = np.arange(1, max(n_down, n_up) + 1)
+        down = np.cumsum(np.log(np.maximum(from_mode + 1 - steps[:n_down], 1) / ratio_lam), axis=1)
+        up = np.cumsum(np.log(ratio_lam / (from_mode + steps[:n_up])), axis=1)
+        table = np.concatenate([down[:, ::-1], np.zeros((len(lam_b), 1)), up], axis=1)
+        lengths = hi_b - lo_b + 1
+        starts = np.cumsum(lengths) - lengths
+        j = np.arange(starts[-1] + lengths[-1]) + np.repeat(lo_b - starts, lengths)
+        row_at = np.arange(len(lam_b)) * table.shape[1] + n_down - mode_b
+        w = table.ravel()[j + np.repeat(row_at, lengths)]
+        del down, up, table  # not held while the caller sums
+        np.exp(w, out=w)
+        w /= np.repeat(np.add.reduceat(w, starts), lengths)
+        # js skips the indices no window covers: the gaps below each window
+        # between the windows taken in order of their lower ends
+        by_lo = np.argsort(lo_b)
+        gaps = np.maximum(lo_b[by_lo][1:] - np.maximum.accumulate(hi_b[by_lo])[:-1] - 1, 0)
+        skipped = np.empty_like(lo_b)
+        skipped[by_lo] = lo_b[by_lo][0] + np.cumsum(np.r_[0, gaps])
+        at = j - np.repeat(skipped, lengths)
+        js = np.empty(int(np.max(hi_b - skipped)) + 1, dtype=np.int64)
+        js[at] = j
+        yield b, starts, js, at, w
 
-    The incomplete gamma and the denominator depend on j only, so they are
-    evaluated once per index the stack's windows cover and gathered into the
-    table; an infinite cutoff skips the incomplete gamma, whose value there
-    is 1.  Each member's terms are added in index order, and the zero
-    padding past its window leaves its sum unchanged.
-    """
-    lams = np.atleast_1d(dist.noncentrality) / 2.0
-    base, idx, ws = _weight_table(tuple(lams.tolist()))
-    m = dist.dof + 2.0 * np.arange(base, base + idx.max() + 1)
-    terms = ws
-    if cutoff != math.inf:
-        terms = ws * gammainc((m - 2.0 * order) / 2.0, cutoff / 2.0).take(idx)
-    denom = np.ones_like(m)
-    for i in range(1, order + 1):
-        denom = denom * (m - 2.0 * i)
-    return np.add.reduce(terms / denom.take(idx), axis=0)[:-1]
+
+def _mixtures(noncentrality, specs) -> np.ndarray:
+    """Per spec (dof, order, cutoff) and noncentrality, (len(specs), D),
+
+        sum_j w_j P(chi2_{m - 2 order} <= cutoff) / prod_{i=1..order} (m - 2i),
+
+    m = dof + 2j, over the `_poisson_windows` of noncentrality / 2, each
+    window summed alone by `np.add.reduceat`, whose sum of a segment does not
+    depend on where it lies.  The factors are evaluated once per covered j.
+    A cutoff <= 0 gives 0; order 0, a probability, is clipped to [0, 1]."""
+    lam = np.atleast_1d(np.asarray(noncentrality, dtype=float)) / 2.0
+    if not np.all(lam <= _MAX_NONCENTRALITY / 2.0):
+        raise ValueError(
+            f"noncentrality must be at most {_MAX_NONCENTRALITY:g}, got {2 * lam.max():g}")
+    out = np.zeros((len(specs), lam.size))
+    for b, starts, js, at, w in _poisson_windows(lam):
+        for row, (dof, order, cutoff) in enumerate(specs):
+            if cutoff <= 0.0 or (order == 0 and cutoff == math.inf):
+                out[row, b] = cutoff > 0.0  # P(X <= 0) = 0, P(X <= inf) = 1
+                continue
+            m = dof + 2.0 * js
+            terms = w
+            if cutoff != math.inf:
+                terms = w * gammainc((m - 2.0 * order) / 2.0, cutoff / 2.0)[at]
+            if order:
+                terms = terms / np.prod([m - 2.0 * i for i in range(1, order + 1)], axis=0)[at]
+            out[row, b] = np.add.reduceat(terms, starts)
+            if order == 0:
+                out[row, b] = np.clip(out[row, b], 0.0, 1.0)
+    return out
 
 
 def noncentral_chisq_cdf(x: float, dist: NoncentralChiSq) -> float | np.ndarray:
     """P(X <= x) for X ~ NoncentralChiSq, via the Poisson mixture of
     regularized incomplete gamma terms.  Monotone in x and in -noncentrality.
     """
-    if x <= 0.0:
-        return _per_law(dist, np.zeros(np.size(dist.noncentrality)))
-    return _per_law(dist, np.clip(_mixture_sum(dist, 0, x), 0.0, 1.0))
+    return _one_spec(dist, 0, x)
 
 
 def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float | np.ndarray:
@@ -295,7 +299,7 @@ def inv_moment(dist: NoncentralChiSq, order: int = 1) -> float | np.ndarray:
     dof >= 3 and dof >= 5 respectively for the moment to exist.
     """
     _check_order(dist, order, "inv_moment")
-    return _per_law(dist, _mixture_sum(dist, order))
+    return _one_spec(dist, order, math.inf)
 
 
 def truncated_inv_moment(
@@ -314,6 +318,4 @@ def truncated_inv_moment(
     corresponding untruncated inverse moment (cutoff -> inf).
     """
     _check_order(dist, order, "truncated_inv_moment")
-    if cutoff <= 0.0:
-        return _per_law(dist, np.zeros(np.size(dist.noncentrality)))
-    return _per_law(dist, _mixture_sum(dist, order, cutoff))
+    return _one_spec(dist, order, cutoff)

@@ -292,14 +292,14 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if "dist" in kwargs:
-                evaluated[name] += np.size(kwargs["dist"].noncentrality)
+            if name == "_mixtures":
+                noncentrality, specs = args
+                evaluated[len(specs)] += np.size(noncentrality)
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for name in ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment", "spd_inverse",
-                 "spd_solve"):
+    for name in ("_mixtures", "spd_inverse", "spd_solve"):
         monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
     monkeypatch.setattr(shrinkage, "gammaincinv", counting("ppf", shrinkage.gammaincinv))
     solve_stack = linalg.spd_solve_stack
@@ -313,14 +313,12 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
     grids = {"a.csv": SWEEP_DELTAS, "b.csv": SWEEP_DELTAS[:2]}
     for sweep, deltas in grids.items():
         _theory_sweep(tmp_path, 6, 4, SEED, name=sweep, deltas=deltas)
-    names = ("noncentral_chisq_cdf", "inv_moment", "truncated_inv_moment")
-    ncx2 = sum(evaluated[name] for name in names)
-    # per delta: two cdfs at each of the critical value and r - 2, and
-    # both plain and truncated inverse moments of orders 1 and 2
-    assert ncx2 == 12 * sum(len(deltas) for deltas in grids.values())
-    # each quantity in one call per sweep, for the whole grid
-    assert sum(calls[name] for name in names) == 2 * 12
-    assert calls["ppf"] == 2 * 2  # the PTE bias and AMSE of each sweep
+    # one mixture pass per sweep, for the whole grid, of 12 quantities per
+    # delta: two cdfs at each of the critical value and r - 2, and both
+    # plain and truncated inverse moments of orders 1 and 2
+    assert calls["_mixtures"] == 2
+    assert evaluated == {12: sum(len(deltas) for deltas in grids.values())}
+    assert calls["ppf"] == 2  # the critical value, once in each sweep's pass
     # one geometry per alternative, F^-1 and the kappa solve, whatever the
     # grid's length: the unit drift's and the grid's; delta needs no solve
     assert calls["spd_inverse"] == calls["spd_solve"] == 2 * 2

@@ -161,6 +161,34 @@ def test_theory_delta_grid_into_the_thousands(tmp_path, restriction_file):
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--delta-grid", "0,1e13"), ("--delta-grid", "1e300"), ("--gamma", "1e100")]
+)
+def test_theory_noncentrality_above_the_maximum_is_numerical_error(
+    tmp_path, restriction_file, flag, value
+):
+    # 1e13 once died of a memory error with a traceback, 1e300 of an integer
+    # overflow; a --gamma of 1e100 gives delta 3e200
+    out = tmp_path / "o.csv"
+    proc = run_cli("theory", "--restriction", str(restriction_file), flag, value,
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: numerical: noncentrality must be at most 1e+09, got ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_theory_delta_grid_to_the_maximum_noncentrality(tmp_path, restriction_file):
+    out = tmp_path / "far.csv"
+    proc = run_cli("theory", "--restriction", str(restriction_file),
+                   "--delta-grid", "0,1e9", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 5
+    assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
 def test_theory_reproduces_paper_curves(tmp_path):
     # The command README gives for the paper's closed-form curves.
     out = tmp_path / "theory_curves.csv"

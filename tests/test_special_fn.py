@@ -3,7 +3,9 @@
 Reference values come from scipy.special / scipy.stats, adaptive quadrature,
 mpmath high-precision arithmetic, and exact integer recurrences.
 """
+import collections
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,8 +18,8 @@ from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ncx2 as scipy_ncx2
 from scipy.stats import poisson as scipy_poisson
 
-from bellshrink import special_fn
-from bellshrink.asymptotics import LocalAlternative, asymptotic_amse
+from bellshrink import asymptotics, special_fn
+from bellshrink.asymptotics import LocalAlternative, asymptotic_amse, asymptotic_bias
 from bellshrink.shrinkage import LinearRestriction
 
 from bellshrink.special_fn import (
@@ -343,7 +345,8 @@ def test_truncated_never_exceeds_full_moment(dof, nc, cutoff):
 
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 7.0, 300.0, 2489.898212957748, 2500.0, 1e5])
 def test_poisson_weights_cover_the_mass(lam):
-    js, ws = special_fn._poisson_weights(lam)
+    [(_, _, js, at, ws)] = special_fn._poisson_windows(np.array([lam]))
+    js = js[at]
     assert np.all(np.diff(js) == 1)
     assert ws.sum() == pytest.approx(1.0, abs=1e-14)
     outside = scipy_poisson.cdf(js[0] - 1, lam) + scipy_poisson.sf(js[-1], lam)
@@ -367,18 +370,29 @@ def test_noncentral_cdf_at_noncentrality_where_accumulation_stalled():
         assert inv_moment(NoncentralChiSq(5, nc), order) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_one_pjse_amse_computes_the_mixture_weights_once():
+def test_one_pjse_amse_computes_the_mixture_weights_once(monkeypatch):
     k, r = 6, 4
     H = np.zeros((r, k))
     H[:, 1 : r + 1] = np.eye(r)
     la = LocalAlternative(np.full(r, 1.7), np.eye(k), LinearRestriction(H, np.zeros(r)))
-    special_fn._poisson_weights.cache_clear()
-    special_fn._weight_table.cache_clear()
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_poisson_windows", "_mixtures"):
+        monkeypatch.setattr(special_fn, name, counting(name, getattr(special_fn, name)))
+    monkeypatch.setattr(asymptotics, "_mixtures", special_fn._mixtures)
     asymptotic_amse("PJSE", la, alpha=0.05)
-    assert special_fn._poisson_weights.cache_info().misses == 1
-    # the ten mixture sums share one weight table, built on the first
-    table = special_fn._weight_table.cache_info()
-    assert table.misses == 1 and table.hits >= 9
+    asymptotic_bias("PJSE", la, alpha=0.05)
+    asymptotic_amse("PTE", la, alpha=0.05)
+    # every quantity of the three estimators at this alpha, in one pass
+    # over one build of the Poisson window
+    assert calls == {"_poisson_windows": 1, "_mixtures": 1}
 
 
 STACK_NCS = (0.0, 0.5, 40.0, 700.0, 5000.0)  # windows of 1 to about 750 terms
@@ -401,6 +415,57 @@ def test_stacked_law_equals_each_member_alone_bitwise(dof):
             alone = [inv_moment(dist, order)]
             alone += [truncated_inv_moment(dist, c, order) for c in (-1.0, 1.0, 30.0, 5200.0)]
             assert [v[nc_i] for v in stacked] == alone
+
+
+def test_stacked_law_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # One window per block, a few per block, or the whole stack in one.
+    law = NoncentralChiSq(5, np.array(STACK_NCS))
+
+    def values():
+        return [noncentral_chisq_cdf(41.0, law), inv_moment(law, 2),
+                truncated_inv_moment(law, 30.0)]
+
+    whole = values()
+    for cap in (1, 100):
+        monkeypatch.setattr(special_fn, "_BELL_TABLE_ELEMENTS", cap)
+        for got, want in zip(values(), whole):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_mixture_memory_is_bounded_by_the_windows():
+    # The two windows lie about 5e6 indices apart; only their terms, about
+    # 34,000, may take memory, not the indices between them.
+    ncs = (0.0, 1e7)
+    law = NoncentralChiSq(5, np.array(ncs))
+    tracemalloc.start()
+    try:
+        cdf, moment = noncentral_chisq_cdf(3.0, law), inv_moment(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    for i, nc in enumerate(ncs):
+        alone = NoncentralChiSq(5, nc)
+        assert cdf[i] == noncentral_chisq_cdf(3.0, alone)
+        assert moment[i] == inv_moment(alone)
+
+
+def test_noncentrality_above_the_maximum_is_rejected():
+    top = NoncentralChiSq(5, special_fn._MAX_NONCENTRALITY)
+    assert special_fn._MAX_NONCENTRALITY >= 1e9
+    assert inv_moment(top) == pytest.approx(1.0 / (top.noncentrality + 3.0), rel=1e-9)
+    for nc in (np.nextafter(special_fn._MAX_NONCENTRALITY, np.inf), 1e13, 1e300):
+        law = NoncentralChiSq(5, np.array([0.0, nc]))
+        with pytest.raises(ValueError, match=r"at most 1e\+09"):
+            noncentral_chisq_cdf(1.0, law)
+        with pytest.raises(ValueError, match=r"at most 1e\+09"):
+            truncated_inv_moment(law, 1.0)
+
+
+def test_noncentral_cdf_is_exactly_one_at_infinity():
+    assert noncentral_chisq_cdf(math.inf, NoncentralChiSq(5, 3.0)) == 1.0
+    law = NoncentralChiSq(3, np.array(STACK_NCS))
+    np.testing.assert_array_equal(noncentral_chisq_cdf(math.inf, law), 1.0)
 
 
 def test_stacked_law_validation():
