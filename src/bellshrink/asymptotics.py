@@ -51,14 +51,13 @@ import numpy as np
 
 from .linalg import spd_inverse, spd_solve
 from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction, _critical_value
+from .special_fn import _MAX_NONCENTRALITY, _mixtures
 
 __all__ = [
     "LocalAlternative",
     "asymptotic_amse",
     "asymptotic_bias",
 ]
-
-from .special_fn import _mixtures
 
 
 @dataclass
@@ -106,8 +105,11 @@ class LocalAlternative:
         self.kappa0 = (self.kappa0 + self.kappa0.T) / 2.0
         # kappa gamma and delta = (kappa gamma)' F (kappa gamma) as one product
         # per member (D, ...), so a member's bits do not depend on its stack
-        kg = (self.kappa @ np.atleast_2d(gamma)[:, :, None])[:, :, 0]
-        q = ((kg[:, None, :] @ fisher) @ kg[:, :, None])[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kg = (self.kappa @ np.atleast_2d(gamma)[:, :, None])[:, :, 0]
+            q = ((kg[:, None, :] @ fisher) @ kg[:, :, None])[:, 0, 0]
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"noncentrality must be at most {_MAX_NONCENTRALITY:g}, got inf")
         delta = np.where(q > 0.0, q, 0.0)
         self.kappa_gamma = kg
         self.delta = delta if gamma.ndim == 2 else float(delta[0])
@@ -197,14 +199,10 @@ def _weights(est: str, la: LocalAlternative, alpha) -> tuple[np.ndarray, np.ndar
 def asymptotic_bias(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:
     """Limiting bias vector of sqrt(n) * (estimator - beta), (k,) or (D, k):
     the weight b of `_weights` times kappa gamma.  A zero component is +0:
-    UN's are exactly +0, and adding +0.0 clears the sign that a negative
-    weight gives a zero drift."""
-    est = _require(estimator)
-    kg = la.kappa_gamma
-    if est == "UN":
-        return _stacked(la, np.zeros_like(kg))
-    b = _weights(est, la, alpha)[0]
-    return _stacked(la, b[:, None] * kg + 0.0)
+    adding +0.0 clears the sign that a zero weight (UN's) or a zero drift
+    takes from a negative factor."""
+    b = _weights(_require(estimator), la, alpha)[0]
+    return _stacked(la, b[:, None] * la.kappa_gamma + 0.0)
 
 
 def asymptotic_amse(estimator: str, la: LocalAlternative, alpha=None) -> np.ndarray:

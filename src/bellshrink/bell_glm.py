@@ -27,9 +27,9 @@ stack of R datasets of one shape (X as (R, n, k), y as (R, n)) with batched
 matrix products and one batched SPD solve (`linalg.spd_solve_stack`) per
 iteration, so its Python cost does not grow with the number of members.
 The start is the least-squares fit of log(y + 0.5), from the normal
-equations through the same batched solve.  Members that converge leave the
-stack, and step halving, clamp counting and the convergence test are
-decided per member.  A member converges on the Newton decrement
+equations through the same batched solve.  Members leave the stack at one
+exit, the top of a pass; step halving, clamp counting and the convergence
+test are decided per member.  A member converges on the Newton decrement
 S' J^-1 S at an unclamped iterate (Boyd and Vandenberghe, Convex
 Optimization, 2004, sec. 9.5.1), which does not depend on the scale of the
 covariates; the decrement is the solved step dotted with the score, so the
@@ -41,10 +41,11 @@ at the point it returns.  The Newton step is solved for directly, not as
 the next iterate less the current one, so designs with an ill-conditioned
 covariate (a large offset against a small spread) still converge.  The
 result is one `FittedModel` of arrays with a leading member axis, each
-member's row written as it leaves the stack.  A member whose design is
-rank deficient (numpy's matrix_rank rule) or whose observed information
-`linalg.spd_solve_stack` flags keeps a NaN row without failing its
-neighbours, and `fit`, the stack of one, raises SingularMatrixError for it.
+member's row written as it leaves.  A member whose design is rank
+deficient (numpy's matrix_rank rule) or whose observed information
+`linalg.spd_solve_stack` flags takes no further step and leaves with NaN
+beta, converged False and the steps and clamps it counted; `fit`, the
+stack of one, raises SingularMatrixError for it.
 Every operation, the batched solve included, acts on one member at a time
 or element by element, so a member's result is the same to the last bit
 whatever else shares its stack; outputs built on the engine therefore do
@@ -172,12 +173,13 @@ def _take(parts, rows):
 
 class _Members(NamedTuple):
     """The members still in a stack: design (m, n, k), responses as floats
-    (m, n), positions in the caller's stack, clamp counts."""
+    (m, n), positions in the caller's stack, clamp counts, singular flags."""
 
     X: np.ndarray
     y: np.ndarray
     ids: np.ndarray
     n_clamped: np.ndarray
+    singular: np.ndarray
 
 
 class _Point(NamedTuple):
@@ -258,9 +260,9 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
     Returns one FittedModel: beta (R, k), fisher_info (R, k, k) and
     converged, n_iter, n_clamped (R,).  Row i is, bit for bit, what `fit`
     returns for member i, whichever members share the stack.  A singular
-    member keeps NaN beta and fisher_info, converged False and zero n_iter
-    and n_clamped.  A member whose normal equations for the least-squares
-    start are flagged by the solve starts from beta = 0 and fits as usual.
+    member keeps NaN beta and fisher_info and converged False, with the
+    steps it took and the clamps it counted (0 and 0 if rank deficient).
+    A member whose least-squares start the solve flags fits from beta = 0.
     """
     X, counts = _checked(X, y, stacked=True)
     R, n, k = X.shape
@@ -271,26 +273,27 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
         n_iter=np.zeros(R, dtype=int),
         n_clamped=np.zeros(R, dtype=int),
     )
-    m = _Members(X, counts.astype(float), np.arange(R), np.zeros(R, dtype=int))
     # numpy's matrix_rank rule: the smallest singular value must exceed
-    # max(n, k) * eps times the largest.
+    # max(n, k) * eps times the largest.  Else a member starts singular.
     sv = np.linalg.svd(X, compute_uv=False)
-    keep = sv[:, -1] > sv[:, 0] * max(n, k) * np.finfo(float).eps
-    if not keep.all():
-        m = _take(m, keep)
-    Xt = m.X.transpose(0, 2, 1)
-    start, ok = spd_solve_stack(Xt @ m.X, (Xt @ np.log(m.y + 0.5)[..., None])[..., 0])
-    cur = _evaluate(m.X, m.y, np.where(ok[:, None], start, 0.0))
-    done = np.zeros(m.ids.size, dtype=bool)
+    singular = sv[:, -1] <= sv[:, 0] * max(n, k) * np.finfo(float).eps
+    m = _Members(X, counts.astype(float), np.arange(R), np.zeros(R, dtype=int), singular)
+    Xt = X.transpose(0, 2, 1)
+    start, ok = spd_solve_stack(Xt @ X, (Xt @ np.log(m.y + 0.5)[..., None])[..., 0])
+    cur = _evaluate(X, m.y, np.where((ok & ~singular)[:, None], start, 0.0))
+    done = singular.copy()
     for n_iter in range(_MAX_ITER + 1):
         stop = done if n_iter < _MAX_ITER else np.ones_like(done)
         if stop.any():
-            ids, Xs = m.ids[stop], m.X[stop]
-            v = cur.mu[stop] / (1.0 + cur.theta[stop])
-            out.beta[ids] = cur.beta[stop]
+            fitted = stop & ~m.singular
+            ids, Xs = m.ids[fitted], m.X[fitted]
+            v = cur.mu[fitted] / (1.0 + cur.theta[fitted])
+            out.beta[ids] = cur.beta[fitted]
             out.fisher_info[ids] = Xs.transpose(0, 2, 1) @ (Xs * v[..., None])
-            out.converged[ids] = (done & (cur.clipped == 0))[stop]
-            out.n_iter[ids] = n_iter
+            ids = m.ids[stop]
+            out.converged[ids] = (fitted & done & (cur.clipped == 0))[stop]
+            # A singular member took no step on the pass that flagged it.
+            out.n_iter[ids] = np.maximum(n_iter - m.singular[stop], 0)
             out.n_clamped[ids] = m.n_clamped[stop]
             m, cur = _take(m, ~stop), _take(cur, ~stop)
         if not m.ids.size:
@@ -303,13 +306,12 @@ def fit_many(X: np.ndarray, y: np.ndarray) -> FittedModel:
         rhs = (Xt @ target[..., None])[..., 0]
         step, ok = spd_solve_stack(Xt @ (m.X * w[..., None]), rhs)
         if not ok.all():
-            m, cur, rhs, step = _take(m, ok), _take(cur, ok), rhs[ok], step[ok]
-            if not m.ids.size:
-                break
+            m.singular[:] = ~ok
+            rhs[~ok] = step[~ok] = 0.0
         # With no clamped predictor the excess is zero and rhs is the score,
         # so rhs . step is the Newton decrement.  The step is still taken,
         # and the member finishes at the next pass.
-        done = (cur.clipped == 0) & (np.sum(rhs * step, axis=-1) < _DECREMENT_TOL)
+        done = (cur.clipped == 0) & (np.sum(rhs * step, axis=-1) < _DECREMENT_TOL) | m.singular
         cur = _line_search(m, cur, step)
     return out
 

@@ -336,6 +336,46 @@ def test_stack_members_match_their_own_fits_bitwise():
         )
 
 
+def test_a_member_flagged_mid_fit_keeps_its_steps_and_clamps(monkeypatch):
+    # Steep slopes give members whose first iterates clamp; member 7 clamps
+    # 14 linear predictors over its first three iterates.  The engine's
+    # first solve is the start, so its fourth is the step solve of Newton
+    # pass 2; flag member 7 there, after two steps.
+    rng = np.random.default_rng(SEED + 23)
+    datasets = [generate_dataset(50, 2, np.array([0.0, 10.0, -5.0]), rng) for _ in range(8)]
+    X = np.stack([d.X for d in datasets])
+    y = np.stack([d.y for d in datasets])
+    solve = bell_glm.spd_solve_stack
+    sizes = []
+
+    def flag_member_7_on_pass_2(a, b):
+        x, ok = solve(a, b)
+        sizes.append(len(ok))
+        if len(sizes) == 4:
+            x[7], ok[7] = np.nan, False
+        return x, ok
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bell_glm, "spd_solve_stack", flag_member_7_on_pass_2)
+        fits = fit_many(X, y)
+    assert sizes[3] == 8  # no member left before pass 2
+    # Stopped at pass 3, a lone fit has counted the clamps of the same three
+    # iterates.
+    with monkeypatch.context() as patched:
+        patched.setattr(bell_glm, "_MAX_ITER", 3)
+        clamps = fit(datasets[7]).n_clamped
+    assert clamps == 14
+    assert np.isnan(fits.beta[7]).all() and np.isnan(fits.fisher_info[7]).all()
+    assert (fits.converged[7], fits.n_iter[7], fits.n_clamped[7]) == (False, 2, clamps)
+    for i in range(7):
+        model = fit(datasets[i])
+        np.testing.assert_array_equal(fits.beta[i], model.beta)
+        np.testing.assert_array_equal(fits.fisher_info[i], model.fisher_info)
+        assert (fits.converged[i], fits.n_iter[i], fits.n_clamped[i]) == (
+            model.converged, model.n_iter, model.n_clamped
+        )
+
+
 def test_fit_many_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         fit_many(np.ones((2, 10, 3)), np.zeros((2, 9), dtype=int))

@@ -162,13 +162,15 @@ def test_theory_delta_grid_into_the_thousands(tmp_path, restriction_file):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--delta-grid", "0,1e13"), ("--delta-grid", "1e300"), ("--gamma", "1e100")]
+    "flag, value",
+    [("--delta-grid", "0,1e13"), ("--delta-grid", "1e300"), ("--gamma", "1e100"), ("--gamma", "1e160")],
 )
 def test_theory_noncentrality_above_the_maximum_is_numerical_error(
     tmp_path, restriction_file, flag, value
 ):
     # 1e13 once died of a memory error with a traceback, 1e300 of an integer
-    # overflow; a --gamma of 1e100 gives delta 3e200
+    # overflow; a --gamma of 1e100 gives delta 3e200, and one of 1e160
+    # overflows delta to inf, which once printed numpy warnings first
     out = tmp_path / "o.csv"
     proc = run_cli("theory", "--restriction", str(restriction_file), flag, value,
                    "--out", str(out))
