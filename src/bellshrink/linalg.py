@@ -38,10 +38,10 @@ def _symmetric_finite(a: np.ndarray) -> np.ndarray:
 
 def _solution(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One member's solution by the batched pass's two calls, the Cholesky
-    test and the LU solve, or None if either raises."""
+    test and the LU solve (none for an empty b), or None if either raises."""
     try:
         np.linalg.cholesky(a)
-        return np.linalg.solve(a, b)
+        return np.linalg.solve(a, b) if b.size else b
     except np.linalg.LinAlgError:
         return None
 
@@ -53,7 +53,8 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns (x, ok): ok[i] is False, and x[i] NaN, for a member that fails
     the Cholesky test or the LU solve, or whose a[i] is not finite and
     symmetric or whose b[i] is not finite.  A member's solution and its
-    flag are the same, bit for bit, whatever else shares its stack.
+    flag are the same, bit for bit, whatever else shares its stack.  A b
+    of shape (m, k, 0) makes ok the Cholesky test alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

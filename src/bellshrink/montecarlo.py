@@ -192,7 +192,7 @@ def _replicate(job) -> tuple[np.ndarray, int]:
     draws and fits every pending replication in stacks of at most
     _STACK_ELEMENTS entries of X, and makes one `estimate_many` call on the
     converged rows of each stacked fit.  A replication whose fit fails (no
-    convergence, or a singular member's NaN row) or whose projection fails
+    convergence, or a singular member's NaN row) or whose estimators fail
     stays pending for attempt + 1.  The round stops early once the
     failures exceed budget; the caller reports that.
 

@@ -2,13 +2,16 @@
 
 Given an unrestricted fit with coefficients b and total information F, and
 a linear restriction H beta = h with H of full row rank r, the restricted
-estimator is the information-metric projection
+estimator minimises (beta - b)' F (beta - b) over H beta = h.  By
+elimination, every such beta is P h + N u for u the k - r free coordinates
+(`_elimination_basis`).  With gap = H b - h and z = (N' F N)**-1 N' F P,
 
-    b_RE = b - F**-1 H' (H F**-1 H')**-1 (H b - h),
+    b_RE = P h + N (b_free + z gap),   b - b_RE = kappa gap,   kappa = P - N z,
 
+so a coefficient that the restriction pins gets exactly the pinned value,
 and the Wald statistic for the restriction is
 
-    f = (H b - h)' (H F**-1 H')**-1 (H b - h).
+    f = (kappa gap)' F (kappa gap) = (H b - h)' (H F**-1 H')**-1 (H b - h).
 
 The pretest estimator keeps b_RE when f falls below the chi-square(r)
 critical value and b otherwise.  The James-Stein estimator moves from
@@ -26,6 +29,7 @@ under one restriction.  This module also decides which estimators exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -78,11 +82,37 @@ def content_lines(path) -> list[tuple[int, str]]:
     return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line]
 
 
+def _elimination_basis(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, P, free) for H (r, k) of full row rank.  Gauss-Jordan elimination
+    of [H I] with complete pivoting picks r pivot columns, H1 = H[:, pivots],
+    turns [H1 H2 I] into [I H1**-1 H2 H1**-1] up to row order, and leaves the
+    other columns free; N = [-H1**-1 H2; I] (k, k - r) and P = [H1**-1; 0]
+    (k, r) are in H's column order, so H (P h + N u) = h for every u."""
+    r, k = H.shape
+    a, rows, pivots = np.hstack([H, np.eye(r)]), [], []
+    for _ in range(r):
+        left = np.abs(a[:, :k])
+        left[rows] = 0.0  # eliminated columns are exactly 0 in the other rows
+        i, j = divmod(int(left.argmax()), k)
+        a[i] /= a[i, j]
+        col = a[:, j].copy()
+        col[i] = 0.0  # the pivot row keeps its 1
+        a -= col[:, None] * a[i]
+        rows.append(i)
+        pivots.append(j)
+    free = np.delete(np.arange(k), pivots)
+    N, P = np.zeros((k, k - r)), np.zeros((k, r))
+    N[pivots], N[free] = -a[np.ix_(rows, free)], np.eye(k - r)
+    P[pivots] = a[rows, k:]
+    return N, P, free
+
+
 @dataclass(frozen=True)
 class LinearRestriction:
     """Linear constraint H beta = h with H full row rank, r <= k.  An h of
-    shape (T, r) makes a family of T restrictions that share H, one per row,
-    which `estimate_many` serves in one pass; `compute_all` takes one."""
+    shape (T, r), T >= 1, makes a family of T restrictions that share H, one
+    per row, which `estimate_many` serves in one pass; `compute_all` takes
+    one."""
 
     H: np.ndarray
     h: np.ndarray
@@ -97,10 +127,10 @@ class LinearRestriction:
         r, k = H.shape
         if not (1 <= r <= k):
             raise ValueError(f"need 1 <= rows <= columns, got H shape {H.shape}")
-        if h.ndim > 2 or h.shape[-1:] != (r,):
+        if h.ndim > 2 or h.shape[-1:] != (r,) or not h.size:
             raise ValueError(
                 f"h must have one entry per row of H, or one such row per member of "
-                f"a family, got shape {h.shape}"
+                f"a nonempty family, got shape {h.shape}"
             )
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("restriction contains non-finite entries")
@@ -112,6 +142,11 @@ class LinearRestriction:
     @property
     def n_restrictions(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_elimination_basis(H)`, computed on first use (`theory` needs none)."""
+        return _elimination_basis(self.H)
 
 
 def load_restriction(path) -> LinearRestriction:
@@ -179,53 +214,53 @@ def estimate_many(
 
     Returns (est, f_stat, ok): est (m, 5, k), or (m, T, 5, k) for a family,
     in ESTIMATOR_ORDER; the Wald statistics (m,) or (m, T); and ok (m,),
-    False for a member whose information matrix or H F^-1 H' fails the
-    solve; its rows are NaN.  JSE and PJSE are NaN when r < 3.  An
-    exactly-satisfied restriction (f_stat = 0) makes both the restricted
-    estimator, and a tie at the pretest's critical value keeps UN.  F^-1 H'
-    is solved once per member, and every (member, h) pair is one row of
-    the batched solve of H F^-1 H', so each member's values under each h
+    False for a member whose information matrix F fails the Cholesky test
+    or whose reduced system N' F N fails the solve; its rows are NaN.  JSE
+    and PJSE are NaN when r < 3.  An exactly-satisfied restriction (f_stat
+    = 0) makes both the restricted estimator, and a tie at the pretest's
+    critical value keeps UN.  z is one solve per member, and each (member,
+    h) pair then costs only matrix-vector products of its own, so its values
     are bit for bit those of `compute_all` on that member and h alone.
     """
     H, h = rest.H, rest.h
-    beta = np.asarray(beta, dtype=float)
+    N, P, free = rest.basis
+    beta, fisher = np.asarray(beta, dtype=float), np.asarray(fisher, dtype=float)
+    if beta.ndim != 2 or fisher.shape != beta.shape + beta.shape[-1:]:
+        shapes = f"got fisher {fisher.shape} and beta {beta.shape}"
+        raise ValueError(f"fisher must have shape (m, k, k) for beta (m, k), {shapes}")
     m, k = beta.shape
     if H.shape[1] != k:
-        raise ValueError(
-            f"restriction has {H.shape[1]} columns but the model has {k} parameters"
-        )
+        raise ValueError(f"restriction has {H.shape[1]} columns but the model has {k} parameters")
     r = rest.n_restrictions
     crit = _critical_value(alpha, r)
-    family = h.shape[:-1]
-    T = h.size // r
-    # F^-1 H' once per member; then y = (H F^-1 H')^-1 (H b - h) with the
-    # (member, h) pairs in the batch axis, as (m T, r, r) against (m T, r)
-    finv_ht, ok = spd_solve_stack(fisher, np.broadcast_to(H.T, (m, k, r)))
-    gap = ((H @ beta[..., None])[:, None, :, 0] - h.reshape(T, r)).reshape(m * T, r)
-    y, solved = spd_solve_stack(np.repeat(H @ finv_ht, T, axis=0), gap)
-    finv_ht, beta = np.repeat(finv_ht, T, axis=0), np.repeat(beta, T, axis=0)
-    ok = np.repeat(ok, T) & solved
-    # a flagged solve is NaN, and so are the RE and Wald values built on it
-    re = beta - (finv_ht @ y[..., None])[..., 0]
-    f_stat = np.maximum(0.0, (gap[:, None, :] @ y[..., None])[:, 0, 0])
-    un = np.where(ok[:, None], beta, np.nan)
-    pte = np.where((f_stat < crit)[:, None], re, un)
+    family, T = h.shape[:-1], h.size // r
+    # F's Cholesky test alone (no right-hand side), then the reduced solve
+    ok = spd_solve_stack(fisher, np.empty((m, k, 0)))[1]
+    nf = N.T @ fisher
+    z, solved = spd_solve_stack(nf @ N, nf @ P)
+    ok &= solved
+    kappa = P - N @ z
+    # (m, T, ., 1) stacks: each (member, h) product is its own matrix-vector
+    # product, whatever T is; b - RE = kappa gap
+    gap = (H @ beta[..., None])[:, None] - h.reshape(T, r, 1)
+    u = beta[:, None, free, None] + z[:, None] @ gap
+    re = (P @ h.reshape(T, r, 1) + N @ u)[..., 0]
+    diff = kappa[:, None] @ gap
+    f_stat = np.maximum(0.0, (diff.swapaxes(-2, -1) @ fisher[:, None] @ diff)[..., 0, 0])
+    re[~ok] = f_stat[~ok] = np.nan
+    un = np.broadcast_to(np.where(ok[:, None, None], beta[:, None], np.nan), re.shape)
+    pte = np.where((f_stat < crit)[..., None], re, un)
     if r >= _MIN_JS_RESTRICTIONS:
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = 1.0 - (r - 2.0) / f_stat
-            jse = re + factor[:, None] * (un - re)
-        exact = (f_stat == 0.0)[:, None]
-        pjse = np.where(exact | (factor <= 0.0)[:, None], re, jse)
+            jse = re + factor[..., None] * (un - re)
+        exact = (f_stat == 0.0)[..., None]
+        pjse = np.where(exact | (factor <= 0.0)[..., None], re, jse)
         jse = np.where(exact, re, jse)
     else:
         jse = pjse = np.full_like(re, np.nan)
-    est = np.stack([un, re, jse, pjse, pte], axis=1)
-    # H F^-1 H' does not depend on h, so a member's pairs fail together
-    return (
-        est.reshape(m, *family, len(ESTIMATOR_ORDER), k),
-        f_stat.reshape(m, *family),
-        ok.reshape(m, T).all(axis=1),
-    )
+    est = np.stack([un, re, jse, pjse, pte], axis=2)
+    return est.reshape(m, *family, len(ESTIMATOR_ORDER), k), f_stat.reshape(m, *family), ok
 
 
 def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05) -> EstimatorSet:
@@ -239,10 +274,7 @@ def compute_all(model: FittedModel, rest: LinearRestriction, alpha: float = 0.05
         raise ValueError("compute_all takes one restriction; estimate_many serves a family")
     est, f_stat, ok = estimate_many(model.beta[None], model.fisher_info[None], rest, alpha)
     if not ok[0]:
-        raise SingularMatrixError(
-            "information matrix or H F^-1 H' is singular; the restriction may be "
-            "rank-deficient under this fit"
-        )
+        raise SingularMatrixError("information matrix F or its reduced form N' F N is singular")
     un, re, jse, pjse, pte = est[0]
     if rest.n_restrictions < _MIN_JS_RESTRICTIONS:
         jse = pjse = None

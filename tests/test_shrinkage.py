@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bellshrink import shrinkage
-from bellshrink.bell_glm import FittedModel, fit
+from bellshrink.bell_glm import FittedModel, fit, fit_many
 from bellshrink.linalg import SingularMatrixError
+from bellshrink.montecarlo import SimConfig, _SimDraw, build_restriction
 from bellshrink.shrinkage import (
     ESTIMATOR_ORDER,
     LinearRestriction,
@@ -18,6 +19,13 @@ from bellshrink.shrinkage import (
 from oracles import kkt_restricted, lr_statistic, per_member_estimators, simulate_dataset
 
 SEED = 445566
+# estimate_many solves the reduced system N' F N where the textbook oracle
+# (oracles.per_member_estimators) solves F and then H F^-1 H', so the two
+# agree to roundoff: over the members compared below, RE is within 9.5e-15
+# of the oracle relative to its largest entry, and the Wald statistic within
+# 3.7e-15 relative
+RE_RTOL = 3e-14
+WALD_RTOL = 1e-13
 
 
 def synthetic_model(beta, fisher):
@@ -205,9 +213,12 @@ def test_compute_all_cross_consistency():
     model, rest = random_problem(6, 3, rng)
     est = compute_all(model, rest, alpha=0.05)
     want, want_f = per_member_estimators(model, rest, 0.05)
-    assert est.f_stat == want_f
+    assert est.f_stat == pytest.approx(want_f, rel=WALD_RTOL)
+    # far from f = 0 the James-Stein factor is well conditioned, so every
+    # estimator is within the restricted estimator's tolerance
     for name, row in zip(ESTIMATOR_ORDER, want):
-        np.testing.assert_array_equal(getattr(est, name.lower()), row)
+        atol = RE_RTOL * np.abs(row).max()
+        np.testing.assert_allclose(getattr(est, name.lower()), row, rtol=0, atol=atol)
     assert np.array_equal(est.pte, est.un) or np.array_equal(est.pte, est.re)
     np.testing.assert_allclose(rest.H @ est.re, rest.h, atol=1e-8)
 
@@ -233,9 +244,16 @@ def test_compute_all_exact_satisfaction_short_circuits():
 
 
 def assert_stack_matches_members(models, rest, alpha=0.05):
+    """Each row of estimate_many on the stack is bit for bit compute_all on
+    its member alone; UN is the oracle's, RE and the Wald statistic are the
+    oracle's within RE_RTOL and WALD_RTOL, and JSE, PJSE and PTE follow
+    from the row's own UN, RE and Wald statistic by the textbook rules.
+    Near f = 0 the James-Stein factor 1 - (r - 2)/f amplifies RE's roundoff
+    without bound, so those three are not compared with the oracle's."""
     est, f_stat, ok = estimate_many(
         np.stack([m.beta for m in models]), np.stack([m.fisher_info for m in models]), rest, alpha
     )
+    r = rest.n_restrictions
     assert est.shape == (len(models), len(ESTIMATOR_ORDER), rest.H.shape[1])
     for i, model in enumerate(models):
         try:
@@ -247,16 +265,28 @@ def assert_stack_matches_members(models, rest, alpha=0.05):
                 compute_all(model, rest, alpha)
             continue
         assert ok[i]
-        np.testing.assert_array_equal(est[i], want)
-        assert f_stat[i] == want_f
+        un, re, jse, pjse, pte = est[i]
+        np.testing.assert_array_equal(un, want[0])
+        np.testing.assert_allclose(re, want[1], rtol=0, atol=RE_RTOL * np.abs(want[1]).max())
+        assert f_stat[i] == pytest.approx(want_f, rel=WALD_RTOL, abs=0.0)
+        np.testing.assert_array_equal(pte, re if f_stat[i] < chi2.ppf(1.0 - alpha, r) else un)
+        if r < 3:
+            assert np.all(np.isnan(jse)) and np.all(np.isnan(pjse))
+        elif f_stat[i] == 0.0:
+            np.testing.assert_array_equal(jse, re)
+            np.testing.assert_array_equal(pjse, re)
+        else:
+            factor = 1.0 - (r - 2.0) / f_stat[i]
+            np.testing.assert_array_equal(jse, re + factor * (un - re))
+            np.testing.assert_array_equal(pjse, re if factor <= 0.0 else jse)
         one = compute_all(model, rest, alpha)
-        assert one.f_stat == want_f
+        assert one.f_stat == f_stat[i]
         for j, name in enumerate(ESTIMATOR_ORDER):
             vec = getattr(one, name.lower())
             if vec is None:
-                assert rest.n_restrictions < 3 and np.all(np.isnan(want[j]))
+                assert r < 3 and np.all(np.isnan(est[i, j]))
             else:
-                np.testing.assert_array_equal(vec, want[j])
+                np.testing.assert_array_equal(vec, est[i, j])
     return ok
 
 
@@ -305,6 +335,43 @@ def test_family_of_restrictions_equals_each_restriction_alone_bitwise():
         compute_all(models[0], LinearRestriction(H, hs))
     with pytest.raises(ValueError, match="one entry per row"):
         LinearRestriction(H, rng.standard_normal((T, r + 1)))
+    with pytest.raises(ValueError, match="nonempty family"):
+        LinearRestriction(H, np.empty((0, r)))
+
+
+@pytest.mark.parametrize("r", [1, 3, 6])
+def test_restricted_coordinates_equal_h_for_unit_rows(r):
+    # P is a permutation and N is zero on the pinned coordinates, so RE
+    # takes h there bit for bit, for every member of a family; r = k pins
+    # every coordinate and leaves no free ones
+    rng = np.random.default_rng(SEED + 35 + r)
+    k, T = 6, 4
+    coords = rng.permutation(k)[:r]
+    hs = rng.standard_normal((T, r))
+    models = [random_problem(k, r, rng)[0] for _ in range(5)]
+    beta = np.stack([m.beta for m in models])
+    fisher = np.stack([m.fisher_info for m in models])
+    fisher[2] = -np.eye(k)  # flagged, even with no free coordinates
+    est, f_stat, ok = estimate_many(beta, fisher, LinearRestriction(np.eye(k)[coords], hs))
+    np.testing.assert_array_equal(ok, [True, True, False, True, True])
+    assert np.isnan(est[2]).all() and np.isnan(f_stat[2]).all()
+    assert (f_stat[ok] > 0.0).all()
+    pinned = est[ok, :, ESTIMATOR_ORDER.index("RE")][..., coords]
+    np.testing.assert_array_equal(pinned, np.broadcast_to(hs, (4, T, r)))
+
+
+@pytest.mark.parametrize("n, p", [(50, 3), (100, 6), (200, 12)])
+def test_restricted_estimates_satisfy_paper_grid_restrictions_exactly(n, p):
+    # intercept = tau and adjacent slopes equal: the slopes of RE share one
+    # value, so H RE == h holds exactly, not to roundoff
+    cfg = SimConfig(n=n, p=p, tau_grid=(0.0,), replications=1)
+    fits = fit_many(*_SimDraw(SEED + 36, n, p, cfg.true_beta).stack(range(40), 0))
+    rest = build_restriction(p, np.linspace(0.0, 1.0, 11))
+    est, _, ok = estimate_many(fits.beta[fits.converged], fits.fisher_info[fits.converged], rest)
+    assert ok.all() and len(ok) >= 35
+    re = est[:, :, ESTIMATOR_ORDER.index("RE")]
+    h_of_re = (rest.H @ re[..., None])[..., 0]
+    np.testing.assert_array_equal(h_of_re, np.broadcast_to(rest.h, h_of_re.shape))
 
 
 def test_estimate_many_short_circuits_exact_restriction():
@@ -336,20 +403,40 @@ def test_estimate_many_pretest_tie_keeps_unrestricted(monkeypatch):
     assert (f_stat == tie).sum() == 1
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_estimate_many_flags_singular_members_without_failing_neighbours():
     rng = np.random.default_rng(SEED + 31)
     k, r = 5, 3
     rest = LinearRestriction(H=np.eye(k)[:r], h=np.zeros(r))
     good = [random_problem(k, r, rng)[0] for _ in range(4)]
-    # F^-1 H' overflows, so H F^-1 H' is not finite: the second solve fails
-    tiny = np.diag([1e-310, 1.0, 1.0, 1.0, 1.0])
-    bad_projection = synthetic_model(good[0].beta, tiny)
-    # an indefinite information matrix fails the first solve
+    # an SPD information matrix whose inverse overflows: the textbook
+    # projection's F^-1 H' is not finite, but the reduced system N' F N of
+    # the free coordinates is the identity
+    tiny = synthetic_model(good[0].beta, np.diag([1e-310, 1.0, 1.0, 1.0, 1.0]))
+    # an indefinite information matrix fails the Cholesky test
     bad_information = synthetic_model(good[1].beta, -np.eye(k))
-    models = [good[0], bad_projection, good[1], good[2], bad_information, good[3]]
-    ok = assert_stack_matches_members(models, rest)
-    np.testing.assert_array_equal(ok, [True, False, True, True, False, True])
+    models = [good[0], tiny, good[1], good[2], bad_information, good[3]]
+    est, f_stat, ok = estimate_many(
+        np.stack([m.beta for m in models]), np.stack([m.fisher_info for m in models]), rest
+    )
+    np.testing.assert_array_equal(ok, [True, True, True, True, False, True])
+    # RE pins the first three coordinates at 0 and keeps the last two; the
+    # Wald statistic's 1e-310 b0**2 term is below the last bit of the others
+    b = tiny.beta
+    np.testing.assert_array_equal(est[1, 1], [0.0, 0.0, 0.0, b[3], b[4]])
+    assert f_stat[1] == pytest.approx(b[1] ** 2 + b[2] ** 2, rel=1e-15)
+    one = compute_all(tiny, rest)
+    assert one.f_stat == f_stat[1]
+    np.testing.assert_array_equal(np.stack([one.un, one.re, one.jse, one.pjse, one.pte]), est[1])
+    # the other members, the flagged one among them, are their own rows
+    others = [0, 2, 3, 4, 5]
+    assert_stack_matches_members([models[i] for i in others], rest)
+    rest_est, rest_f, _ = estimate_many(
+        np.stack([models[i].beta for i in others]),
+        np.stack([models[i].fisher_info for i in others]),
+        rest,
+    )
+    np.testing.assert_array_equal(est[others], rest_est)
+    np.testing.assert_array_equal(f_stat[others], rest_f)
 
 
 def test_estimate_many_checks_alpha_and_shape():
@@ -359,6 +446,15 @@ def test_estimate_many_checks_alpha_and_shape():
         estimate_many(model.beta[None], model.fisher_info[None], rest, alpha=1.0)
     with pytest.raises(ValueError):
         estimate_many(model.beta[None, :4], model.fisher_info[None, :4, :4], rest)
+    beta = np.stack([model.beta, model.beta])
+    for fisher in (
+        np.stack([np.eye(6), np.eye(6)]),  # (m, k + 1, k + 1)
+        np.stack([model.fisher_info] * 3),  # (m + 1, k, k)
+        model.fisher_info,  # (k, k), not stacked
+    ):
+        with pytest.raises(ValueError) as info:
+            estimate_many(beta, fisher, rest)
+        assert f"fisher {fisher.shape} and beta (2, 5)" in str(info.value)
 
 
 def test_critical_value_is_scipy_chi2_quantile():
