@@ -10,9 +10,11 @@ estimation errors converge jointly to Gaussians built from
 with F the per-observation information limit.  The unrestricted error is
 Z1 ~ N(0, F**-1); the projection component Z3 = kappa (H Z1 + gamma) has
 mean kappa gamma and covariance kappa0, is independent of Z2 = Z1 - Z3,
-and the Wald statistic converges to |U|^2-type quadratic form
-U' (H F**-1 H')**-1 U ~ chi-square(r, delta).  Since kappa' F kappa is
-(H F**-1 H')**-1, delta is computed as (kappa gamma)' F (kappa gamma).
+and the Wald statistic converges to U' (H F**-1 H')**-1 U ~ chi2(r, delta).
+These are definitions: kappa is computed as P - N z by
+`LinearRestriction._projection`, as `shrinkage.estimate_many` computes it,
+and delta as (kappa gamma)' F (kappa gamma) (kappa' F kappa is
+(H F**-1 H')**-1), so the Wald statistic at gap gamma is delta bit for bit.
 
 Every bias and risk expression below follows from two moment identities
 for U ~ N_r(gamma, Sigma) and q = U' Sigma**-1 U:
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import spd_inverse, spd_solve
+from .linalg import SingularMatrixError, spd_inverse
 from .shrinkage import _MIN_JS_RESTRICTIONS, ESTIMATOR_ORDER, LinearRestriction, _critical_value
 from .special_fn import _MAX_NONCENTRALITY, _mixtures
 
@@ -98,10 +100,10 @@ class LocalAlternative:
         self.gamma = gamma
         self.fisher = fisher
         self.f_inv = spd_inverse(fisher)
-        finv_ht = self.f_inv @ H.T
-        hfh = H @ finv_ht  # SPD because H has full row rank
-        self.kappa = spd_solve(hfh, finv_ht.T).T
-        self.kappa0 = self.kappa @ finv_ht.T
+        _, (self.kappa,), (ok,) = self.restriction._projection(fisher[None])  # a stack of one
+        if not ok:
+            raise SingularMatrixError("the reduced form N' F N of the information is singular")
+        self.kappa0 = self.kappa @ (H @ self.f_inv)
         self.kappa0 = (self.kappa0 + self.kappa0.T) / 2.0
         # kappa gamma and delta = (kappa gamma)' F (kappa gamma) as one product
         # per member (D, ...), so a member's bits do not depend on its stack

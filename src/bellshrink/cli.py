@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-_DEFAULT_SEED = 0
-
 
 class UsageError(Exception):
     pass
@@ -72,15 +70,19 @@ def _alpha(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    """Type of the --threads flag: an integer >= 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+def _int_at_least(low: int):
+    """Type of every integer flag: an integer >= low, 0 for --seed and 1 otherwise."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return parse
 
 
 @functools.cache
@@ -120,8 +122,8 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run relative-efficiency experiments")
     p_sim.add_argument("--config", required=True, help="key-value experiment file")
-    p_sim.add_argument("--seed", type=int, help="override the config seed")
-    p_sim.add_argument("--threads", type=_positive_int, default=1, help="worker processes (default 1)")
+    p_sim.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
+    p_sim.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes (default 1)")
     p_sim.add_argument("--out", required=True, help="write the results CSV here")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -129,9 +131,9 @@ def _build_parser() -> _Parser:
     add_data_flags(p_boot)
     p_boot.add_argument("--restriction", required=True, help="restriction file (H | h rows)")
     p_boot.add_argument("--alpha", type=_alpha, default=0.05, help="pretest level (default 0.05)")
-    p_boot.add_argument("--resample-size", dest="resample_size", type=int, default=40)
-    p_boot.add_argument("--replications", type=int, default=1000)
-    p_boot.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    p_boot.add_argument("--resample-size", dest="resample_size", type=_int_at_least(1), default=40)
+    p_boot.add_argument("--replications", type=_int_at_least(1), default=1000)
+    p_boot.add_argument("--seed", type=_int_at_least(0), default=0)
     p_boot.add_argument("--out", help="write the BRE report CSV here")
     p_boot.set_defaults(func=_cmd_bootstrap)
     return parser
@@ -143,6 +145,9 @@ def _require_files(args) -> None:
         if path is not None and not os.path.isfile(path):
             what = "is a directory" if os.path.isdir(path) else "file not found"
             raise UsageError(f"--{flag} {what}: {path}")
+    out_dir = os.path.dirname(args.out or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise UsageError(f"--out directory not found: {out_dir}")
 
 
 def _fmt(x) -> str:
@@ -460,16 +465,14 @@ def _cmd_bootstrap(args) -> int:
         raise UsageError(
             f"--resample-size {args.resample_size} exceeds the {data.n_obs} rows of --data"
         )
-    try:
-        cfg = BootstrapConfig(
-            restriction=rest,
-            resample_size=args.resample_size,
-            replications=args.replications,
-            alpha=args.alpha,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # the flag types and the restriction parser have checked every field
+    cfg = BootstrapConfig(
+        restriction=rest,
+        resample_size=args.resample_size,
+        replications=args.replications,
+        alpha=args.alpha,
+        seed=args.seed,
+    )
     print(
         f"n = {summary.n_rows} rows; overdispersion ratio {summary.overdispersion:.6g}"
     )

@@ -28,8 +28,7 @@ under one restriction.  This module also decides which estimators exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -109,13 +108,14 @@ def _elimination_basis(H: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class LinearRestriction:
-    """Linear constraint H beta = h with H full row rank, r <= k.  An h of
-    shape (T, r), T >= 1, makes a family of T restrictions that share H, one
-    per row, which `estimate_many` serves in one pass; `compute_all` takes
-    one."""
+    """Linear constraint H beta = h with H full row rank, r <= k, and its
+    elimination basis (N, P, free).  An h of shape (T, r), T >= 1, makes a
+    family of T restrictions that share H, one per row, which
+    `estimate_many` serves in one pass; `compute_all` takes one."""
 
     H: np.ndarray
     h: np.ndarray
+    basis: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.ascontiguousarray(self.H, dtype=float)
@@ -138,15 +138,18 @@ class LinearRestriction:
             raise ValueError(f"H must have full row rank {r}")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "basis", _elimination_basis(H))
 
     @property
     def n_restrictions(self) -> int:
         return self.H.shape[0]
 
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_elimination_basis(H)`, computed on first use (`theory` needs none)."""
-        return _elimination_basis(self.H)
+    def _projection(self, fisher: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, P - N z, ok) of the reduced solve z = (N' F N)**-1 N' F P, for F (m, k, k)."""
+        N, P, _ = self.basis
+        nf = N.T @ fisher
+        z, ok = spd_solve_stack(nf @ N, nf @ P)
+        return z, P - N @ z, ok
 
 
 def load_restriction(path) -> LinearRestriction:
@@ -217,10 +220,10 @@ def estimate_many(
     False for a member whose information matrix F fails the Cholesky test
     or whose reduced system N' F N fails the solve; its rows are NaN.  JSE
     and PJSE are NaN when r < 3.  An exactly-satisfied restriction (f_stat
-    = 0) makes both the restricted estimator, and a tie at the pretest's
-    critical value keeps UN.  z is one solve per member, and each (member,
-    h) pair then costs only matrix-vector products of its own, so its values
-    are bit for bit those of `compute_all` on that member and h alone.
+    = 0) makes JSE and PJSE both RE, and a tie at the pretest's critical
+    value keeps UN.  z is one solve per member, and each (member, h) pair
+    then costs only matrix-vector products of its own, so its values are
+    bit for bit those of `compute_all` on that member and h alone.
     """
     H, h = rest.H, rest.h
     N, P, free = rest.basis
@@ -234,12 +237,9 @@ def estimate_many(
     r = rest.n_restrictions
     crit = _critical_value(alpha, r)
     family, T = h.shape[:-1], h.size // r
-    # F's Cholesky test alone (no right-hand side), then the reduced solve
-    ok = spd_solve_stack(fisher, np.empty((m, k, 0)))[1]
-    nf = N.T @ fisher
-    z, solved = spd_solve_stack(nf @ N, nf @ P)
-    ok &= solved
-    kappa = P - N @ z
+    # the reduced solve, then F's own Cholesky test (no right-hand side)
+    z, kappa, ok = rest._projection(fisher)
+    ok &= spd_solve_stack(fisher, np.empty((m, k, 0)))[1]
     # (m, T, ., 1) stacks: each (member, h) product is its own matrix-vector
     # product, whatever T is; b - RE = kappa gap
     gap = (H @ beta[..., None])[:, None] - h.reshape(T, r, 1)

@@ -77,6 +77,28 @@ def test_local_alternative_projection_identities():
     assert la.delta == pytest.approx(2.5, rel=1e-10)
 
 
+@pytest.mark.parametrize("k, r", [(3, 1), (4, 4), (6, 3), (9, 5), (12, 12)])
+def test_wald_statistic_at_gap_gamma_is_delta_bitwise(k, r):
+    # estimate_many at beta = 0 under h = -gamma sees the gap gamma, and it
+    # and LocalAlternative take kappa from one projection, so its Wald
+    # statistic is the drift's noncentrality, bit for bit
+    rng = np.random.default_rng(SEED + 100 * k + r)
+    for _ in range(6):
+        B = rng.standard_normal((k, k))
+        fisher = B @ B.T + rng.uniform(0.1, 2.0) * np.eye(k)
+        H = rng.standard_normal((r, k))
+        gammas = rng.standard_normal((4, r)) * rng.uniform(0.1, 30.0)
+        null = LinearRestriction(H, np.zeros(r))
+
+        def wald(gap):
+            rest = LinearRestriction(H, -gap)
+            return shrinkage.estimate_many(np.zeros((1, k)), fisher[None], rest)[1][0]
+
+        assert np.array_equal(wald(gammas), LocalAlternative(gammas, fisher, null).delta)
+        for gamma in gammas:
+            assert wald(gamma) == LocalAlternative(gamma, fisher, null).delta
+
+
 def test_delta_zero_iff_gamma_zero():
     la = toy_alternative(delta=0.0)
     assert la.delta == 0.0
@@ -299,16 +321,20 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
 
         return wrapper
 
-    for name in ("_mixtures", "spd_inverse", "spd_solve"):
+    for name in ("_mixtures", "spd_inverse"):
         monkeypatch.setattr(asymptotics, name, counting(name, getattr(asymptotics, name)))
     monkeypatch.setattr(shrinkage, "gammaincinv", counting("ppf", shrinkage.gammaincinv))
+    projection = counting("_projection", LinearRestriction._projection)
+    monkeypatch.setattr(LinearRestriction, "_projection", projection)
     solve_stack = linalg.spd_solve_stack
 
-    def counting_members(a, b):  # every linalg entry ends in a stack solve
+    def counting_members(a, b):  # every SPD solve ends in a stack solve
         calls["factorized"] += len(a)
         return solve_stack(a, b)
 
-    monkeypatch.setattr(linalg, "spd_solve_stack", counting_members)
+    # linalg's own entries, and the reduced solve of shrinkage's projection
+    for module in (linalg, shrinkage):
+        monkeypatch.setattr(module, "spd_solve_stack", counting_members)
     # two calls at the same (alpha, r), on grids of different lengths
     grids = {"a.csv": SWEEP_DELTAS, "b.csv": SWEEP_DELTAS[:2]}
     for sweep, deltas in grids.items():
@@ -319,9 +345,10 @@ def test_theory_sweep_evaluates_each_quantity_once(tmp_path, capsys, monkeypatch
     assert calls["_mixtures"] == 2
     assert evaluated == {12: sum(len(deltas) for deltas in grids.values())}
     assert calls["ppf"] == 2  # the critical value, once in each sweep's pass
-    # one geometry per alternative, F^-1 and the kappa solve, whatever the
-    # grid's length: the unit drift's and the grid's; delta needs no solve
-    assert calls["spd_inverse"] == calls["spd_solve"] == 2 * 2
+    # one geometry per alternative, F^-1 and the reduced solve for kappa,
+    # whatever the grid's length: the unit drift's and the grid's; delta
+    # needs no solve
+    assert calls["spd_inverse"] == calls["_projection"] == 2 * 2
     # those four factorizations per sweep, plus the CLI's SPD check of the
     # --fisher file
     assert calls["factorized"] == 2 * (4 + 1)

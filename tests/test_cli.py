@@ -360,6 +360,43 @@ def test_directory_for_a_file_flag_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: usage: --data is a directory: {tmp_path}\n"
 
 
+@pytest.mark.parametrize("subcommand", ["fit", "estimate", "theory", "simulate", "bootstrap"])
+def test_missing_out_directory_is_usage_error_before_any_output(
+    subcommand, data_csv, restriction_file, sim_config, tmp_path, capsys
+):
+    out_dir = tmp_path / "nonexistent" / "dir"
+    data = ["--data", str(data_csv), "--response", "y", "--covariates", COVARIATES]
+    rest = ["--restriction", str(restriction_file)]
+    args = {
+        "fit": data,
+        "estimate": data + rest,
+        "theory": rest + ["--gamma", "1"],
+        "simulate": ["--config", str(sim_config)],
+        "bootstrap": data + rest + ["--replications", "5"],
+    }[subcommand]
+    code = cli.main([subcommand, *args, "--out", str(out_dir / "x.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: usage: --out directory not found: {out_dir}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "bootstrap"])
+def test_negative_seed_error_names_the_flag(
+    subcommand, data_csv, restriction_file, sim_config, tmp_path, capsys
+):
+    args = {
+        "simulate": ["--config", str(sim_config)],
+        "bootstrap": ["--data", str(data_csv), "--response", "y", "--covariates", COVARIATES,
+                      "--restriction", str(restriction_file)],
+    }[subcommand]
+    code = cli.main([subcommand, *args, "--seed", "-1", "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: argument --seed: must be an integer >= 0, got '-1'\n"
+
+
 def test_byte_order_mark_is_skipped_in_every_input_file(
     data_csv, restriction_file, sim_config, tmp_path, capsys
 ):
@@ -692,6 +729,26 @@ def test_only_linalg_factorizes():
         if _factorizes(node)
     }
     assert solvers == {"linalg.py"}
+
+
+def _reads_basis(node) -> bool:
+    """A read of .basis, or any use of _elimination_basis: a name, an
+    attribute, an import or the definition."""
+    names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+    return getattr(node, "attr", None) == "basis" or "_elimination_basis" in names
+
+
+def test_only_shrinkage_reads_the_elimination_basis():
+    # kappa = P - N z is formed in one module, for the Wald statistic of the
+    # data and the noncentrality of the theory alike
+    package = Path(bellshrink.__file__).resolve().parent
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _reads_basis(node)
+    }
+    assert readers == {"shrinkage.py"}
 
 
 def test_every_bench_tracer_target_resolves():
